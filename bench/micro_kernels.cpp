@@ -30,6 +30,7 @@
 #include "model/dlrm.h"
 #include "nn/embedding_bag.h"
 #include "nn/interaction.h"
+#include "nn/optimizer.h"
 #include "nn/quantized_embedding.h"
 #include "obs/metrics.h"
 #include "obs/pool_metrics.h"
@@ -250,6 +251,31 @@ main(int argc, char** argv)
               });
     }
 
+    // --- DLRM layer GEMMs ----------------------------------------------
+    // The three GEMM kinds of one fused training step of an M2-like
+    // top_mlp.l0 (batch 128, 896 -> 1024): forward bias+ReLU, the
+    // weight grad with the bias grad riding along, and the dReLU-masked
+    // input grad. The weight (3.5 MiB) is larger than a core's L2, so
+    // these rows measure the cache blocking, not just the microkernel;
+    // CI gates their serial rate relative to gemm_256.
+    {
+        const std::size_t batch = 128, in = 896, out = 1024;
+        tensor::Tensor x(batch, in), w(in, out), bias(out), y;
+        tensor::Tensor dy(batch, out), mask(batch, in), dw, db, dx;
+        x.fillNormal(rng, 1.0f);
+        w.fillNormal(rng, 1.0f);
+        bias.fillNormal(rng, 1.0f);
+        dy.fillNormal(rng, 1.0f);
+        mask.fillNormal(rng, 1.0f);
+        const double flops = 2.0 * static_cast<double>(batch) * in * out;
+        h.run("gemm_dlrm_fwd_bias_relu", "GFLOP/s", flops,
+              [&] { tensor::matmulBiasAct(x, w, bias, true, y); });
+        h.run("gemm_dlrm_dw_bias_grad", "GFLOP/s", flops,
+              [&] { tensor::matmulTransABiasGrad(x, dy, dw, db); });
+        h.run("gemm_dlrm_dx_mask", "GFLOP/s", flops,
+              [&] { tensor::matmulTransBMask(dy, w, &mask, dx); });
+    }
+
     // --- Interaction backward: flatten fusion --------------------------
     // The top-MLP layer-0 input-grad GEMM writing the interaction
     // backward's destinations directly (segmented outputs) vs the
@@ -308,6 +334,19 @@ main(int argc, char** argv)
         sig.fillNormal(rng, 1.0f);
         h.run("sigmoid", "elem/s", elems,
               [&] { tensor::sigmoidInPlace(sig); });
+    }
+
+    // --- Dense optimizer -----------------------------------------------
+    // One Adagrad step over as many parameters as the M2-like replica's
+    // MLPs hold (2.3M): read grad, param and accumulator, write both.
+    {
+        const std::size_t params = 2286080;
+        tensor::Tensor p(params), g(params);
+        p.fillNormal(rng, 1.0f);
+        g.fillNormal(rng, 1e-3f);
+        nn::Adagrad adagrad(0.01f);
+        h.run("adagrad_dense", "elem/s", static_cast<double>(params),
+              [&] { adagrad.step(p, g); });
     }
 
     // --- Embedding kernels ---------------------------------------------

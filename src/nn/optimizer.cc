@@ -1,13 +1,24 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
 #include "nn/linear.h"
 #include "nn/mlp.h"
+#include "tensor/simd.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace recsim {
 namespace nn {
+
+namespace {
+
+/**
+ * Elements per dense-update chunk: tens of microseconds of
+ * memory-bound work, so dispatch stays negligible. The updates are
+ * elementwise, so the chunking changes no bits.
+ */
+constexpr std::size_t kDenseGrain = std::size_t(1) << 16;
+
+} // namespace
 
 Sgd::Sgd(float lr)
     : lr_(lr)
@@ -21,8 +32,12 @@ Sgd::step(tensor::Tensor& param, const tensor::Tensor& grad) const
     RECSIM_ASSERT(param.size() == grad.size(), "SGD shape mismatch");
     float* p = param.data();
     const float* g = grad.data();
-    for (std::size_t i = 0; i < param.size(); ++i)
-        p[i] -= lr_ * g[i];
+    const float lr = lr_;
+    util::globalThreadPool().parallelFor(
+        0, param.size(), kDenseGrain,
+        [=](std::size_t i0, std::size_t i1) {
+            tensor::simd::sgdSpan(p + i0, g + i0, i1 - i0, lr);
+        });
 }
 
 void
@@ -61,11 +76,15 @@ Adagrad::step(tensor::Tensor& param, const tensor::Tensor& grad)
     if (acc.size() != param.size())
         acc.assign(param.size(), 0.0f);
     float* p = param.data();
+    float* a = acc.data();
     const float* g = grad.data();
-    for (std::size_t i = 0; i < param.size(); ++i) {
-        acc[i] += g[i] * g[i];
-        p[i] -= lr_ * g[i] / (std::sqrt(acc[i]) + eps_);
-    }
+    const float lr = lr_, eps = eps_;
+    util::globalThreadPool().parallelFor(
+        0, param.size(), kDenseGrain,
+        [=](std::size_t i0, std::size_t i1) {
+            tensor::simd::adagradSpan(p + i0, a + i0, g + i0, i1 - i0,
+                                      lr, eps);
+        });
 }
 
 void

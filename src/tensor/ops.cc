@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "tensor/simd.h"
 #include "util/logging.h"
@@ -32,18 +33,27 @@ requireRank2(const Tensor& t, const char* what)
 }
 
 /**
- * Cache-blocking factors. kKc rows of B (a kKc x kNc panel, 256 KiB at
- * kNc = 512) stay resident across the i-loop of a row chunk; a kNc
- * output-row segment (2 KiB) stays in L1 across the p-loop. Fixed
- * constants, not tuned per shape: blocking only changes *which* terms
- * are in cache, never the order terms are added per output element
- * (the fma fold documented in ops.h), so results are bit-identical to
- * an unblocked loop following the same contract.
+ * Cache blocking. The GEMM core splits the output into 2-D tiles of at
+ * most kTileRows x kTileCols. A tile's row block holds a whole DLRM
+ * batch, so the tile's k x cols weight sub-panel (512 KiB at k = 1024)
+ * is fetched into L2 once and reused by all of the tile's rows; a DLRM
+ * layer's whole weight (2-4 MiB) would not stay in a 2 MiB L2. Inside
+ * a tile, k is swept in kKc-deep panels, and the register tiles re-read
+ * a panel's B block (64 KiB at 128 columns) once per 6 rows.
+ * Fixed constants, not tuned per shape: tiling only changes *which*
+ * terms are in cache and which thread computes an element, never the
+ * order terms are added per output element (the fma fold documented
+ * in ops.h), so results are bit-identical to an unblocked loop
+ * following the same contract.
  */
 constexpr std::size_t kKc = 128;
-constexpr std::size_t kNc = 512;
+constexpr std::size_t kTileRows = 240;
+constexpr std::size_t kTileCols = 128;
+/** Tiles a GEMM is split into when it has enough work for them. */
+constexpr std::size_t kMinTiles = 4;
 
-/** Minimum per-chunk work so chunk dispatch never dominates. */
+/** Minimum per-chunk work (a GEMM tile's FLOPs included) so chunk
+ *  dispatch never dominates. */
 constexpr std::size_t kMinWorkPerChunk = std::size_t(1) << 15;
 /** Elementwise kernels: elements per chunk. */
 constexpr std::size_t kElemGrain = std::size_t(1) << 14;
@@ -58,19 +68,29 @@ rowGrain(std::size_t work_per_row)
 
 /** Register-tile shape of the AVX2 microkernel: 6 rows x 16 cols. */
 constexpr std::size_t kMr = 6;
+constexpr std::size_t kNr = 16;
+
+std::size_t
+ceilDiv(std::size_t a, std::size_t b)
+{
+    return (a + b - 1) / b;
+}
 
 /**
- * Scalar GEMM block, the portable fallback. Computes, for rows
- * [i0, i1) and the (jj, pp) cache block, od[i, jj+j] (+)= sum over the
- * k-panel of fma(A(i, pp+p), b[pp+p, jj+j], acc) with A(i, p) =
- * ad[i * a_rs + p * a_cs] (a_cs = m for the transposed-A variant).
+ * Scalar GEMM block, the portable fallback. Computes, for output rows
+ * [i0, i1) and columns [jj, jj + jn), od[i, jj+j] (+)= sum over one
+ * pk-deep k-panel of fma(a(i, p), b(p, j), acc). The operands are the
+ * panel's blocks, positioned at their first element: a(i, p) =
+ * apan[(i - i0) * a_rs + p * a_cs] and b(p, j) = bpan[p * ldb + j], so
+ * a block may sit inside the caller's matrix or in a tile's scratch
+ * copy of it.
  *
  * Accumulation-order contract (shared with the AVX2 kernel): per
  * output element the accumulator starts from the value in od, adds
  * terms in increasing p, each as one fused multiply-add (std::fma here
  * == vfmadd there: both correctly rounded), and stores once per
- * k-panel. When @p bias is non-null and this is the last k-panel, the
- * epilogue adds bias[j] (one plain add) and, if @p relu, clamps at
+ * k-panel. When @p bias is non-null and this is the @p last k-panel,
+ * the epilogue adds bias[j] (one plain add) and, if @p relu, clamps at
  * zero — exactly the per-element ops of addBiasRows + reluInPlace.
  * When @p mask is non-null (a [*, n] tensor addressed like od), the
  * final k-panel store keeps acc where mask[i, j] > 0 and writes +0.0f
@@ -78,20 +98,18 @@ constexpr std::size_t kMr = 6;
  * value, so masking here instead of in a second pass changes no bits.
  */
 void
-gemmBlockScalar(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-                std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-                float* RECSIM_RESTRICT od, std::size_t n,
+gemmBlockScalar(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
+                std::size_t a_cs, const float* RECSIM_RESTRICT bpan,
+                std::size_t ldb, float* RECSIM_RESTRICT od, std::size_t n,
                 std::size_t i0, std::size_t i1, std::size_t jj,
-                std::size_t jn, std::size_t pp, std::size_t pk,
-                std::size_t k, const float* RECSIM_RESTRICT bias,
-                bool relu, const float* RECSIM_RESTRICT mask)
+                std::size_t jn, std::size_t pk, bool last,
+                const float* RECSIM_RESTRICT bias, bool relu,
+                const float* RECSIM_RESTRICT mask)
 {
-    const bool last = pp + pk == k;
     const bool epilogue = bias != nullptr && last;
     const bool masked = mask != nullptr && last;
     for (std::size_t i = i0; i < i1; ++i) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
-        const float* RECSIM_RESTRICT bpan = bd + pp * n + jj;
+        const float* RECSIM_RESTRICT ab = apan + (i - i0) * a_rs;
         float* RECSIM_RESTRICT orow = od + i * n + jj;
         const float* RECSIM_RESTRICT mrow =
             masked ? mask + i * n + jj : nullptr;
@@ -102,7 +120,7 @@ gemmBlockScalar(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
                 acc[u] = orow[jt + u];
             for (std::size_t p = 0; p < pk; ++p) {
                 const float av = ab[p * a_cs];
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
+                const float* RECSIM_RESTRICT brow = bpan + p * ldb + jt;
                 for (std::size_t u = 0; u < w; ++u)
                     acc[u] = std::fma(av, brow[u], acc[u]);
             }
@@ -126,32 +144,30 @@ gemmBlockScalar(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
 #if defined(RECSIM_SIMD_X86)
 
 /**
- * AVX2/FMA GEMM block: kMr x 16 register tiles (12 ymm accumulators,
- * two b loads shared across the 6 rows per k step) inside the same
- * kKc x kNc cache block, with 8-wide and scalar column tails and a
- * 1-row tail; every path follows the same per-element contract as
+ * AVX2/FMA GEMM block: kMr x kNr register tiles (12 ymm accumulators,
+ * two b loads shared across the 6 rows per k step) over the same
+ * cache block as gemmBlockScalar, with 8-wide and scalar column tails
+ * and a 1-row tail; every path follows the same per-element contract as
  * gemmBlockScalar, so the two are bitwise interchangeable. The dReLU
  * mask is applied as a > 0 compare ANDed into the accumulator (dy's
  * exact bits or +0.0f per lane — what the scalar ternary stores).
  */
 __attribute__((target("avx2,fma"))) void
-gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-              std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-              float* RECSIM_RESTRICT od, std::size_t n, std::size_t i0,
-              std::size_t i1, std::size_t jj, std::size_t jn,
-              std::size_t pp, std::size_t pk, std::size_t k,
+gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
+              std::size_t a_cs, const float* RECSIM_RESTRICT bpan,
+              std::size_t ldb, float* RECSIM_RESTRICT od, std::size_t n,
+              std::size_t i0, std::size_t i1, std::size_t jj,
+              std::size_t jn, std::size_t pk, bool last,
               const float* RECSIM_RESTRICT bias, bool relu,
               const float* RECSIM_RESTRICT mask)
 {
-    const bool last = pp + pk == k;
     const bool epilogue = bias != nullptr && last;
     const bool masked = mask != nullptr && last;
-    const float* RECSIM_RESTRICT bpan = bd + pp * n + jj;
     const __m256 zero = _mm256_setzero_ps();
 
     std::size_t i = i0;
     for (; i + kMr <= i1; i += kMr) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
+        const float* RECSIM_RESTRICT ab = apan + (i - i0) * a_rs;
         float* RECSIM_RESTRICT obase = od + i * n + jj;
         const float* RECSIM_RESTRICT mbase =
             masked ? mask + i * n + jj : nullptr;
@@ -163,7 +179,7 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
                 acc[r][1] = _mm256_loadu_ps(obase + r * n + jt + 8);
             }
             for (std::size_t p = 0; p < pk; ++p) {
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
+                const float* RECSIM_RESTRICT brow = bpan + p * ldb + jt;
                 const __m256 b0 = _mm256_loadu_ps(brow);
                 const __m256 b1 = _mm256_loadu_ps(brow + 8);
                 for (std::size_t r = 0; r < kMr; ++r) {
@@ -209,7 +225,7 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
             for (std::size_t r = 0; r < kMr; ++r)
                 acc[r] = _mm256_loadu_ps(obase + r * n + jt);
             for (std::size_t p = 0; p < pk; ++p) {
-                const __m256 b0 = _mm256_loadu_ps(bpan + p * n + jt);
+                const __m256 b0 = _mm256_loadu_ps(bpan + p * ldb + jt);
                 for (std::size_t r = 0; r < kMr; ++r) {
                     const __m256 av =
                         _mm256_broadcast_ss(ab + r * a_rs + p * a_cs);
@@ -236,12 +252,12 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
                 _mm256_storeu_ps(obase + r * n + jt, acc[r]);
         }
         if (jt < jn)
-            gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i, i + kMr,
-                            jj + jt, jn - jt, pp, pk, k, bias, relu,
-                            mask);
+            gemmBlockScalar(ab, a_rs, a_cs, bpan + jt, ldb, od, n, i,
+                            i + kMr, jj + jt, jn - jt, pk, last, bias,
+                            relu, mask);
     }
     for (; i < i1; ++i) {
-        const float* RECSIM_RESTRICT ab = ad + i * a_rs + pp * a_cs;
+        const float* RECSIM_RESTRICT ab = apan + (i - i0) * a_rs;
         float* RECSIM_RESTRICT orow = od + i * n + jj;
         const float* RECSIM_RESTRICT mrow =
             masked ? mask + i * n + jj : nullptr;
@@ -250,7 +266,7 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
             __m256 a0 = _mm256_loadu_ps(orow + jt);
             __m256 a1 = _mm256_loadu_ps(orow + jt + 8);
             for (std::size_t p = 0; p < pk; ++p) {
-                const float* RECSIM_RESTRICT brow = bpan + p * n + jt;
+                const float* RECSIM_RESTRICT brow = bpan + p * ldb + jt;
                 const __m256 av =
                     _mm256_broadcast_ss(ab + p * a_cs);
                 a0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), a0);
@@ -280,9 +296,9 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
             _mm256_storeu_ps(orow + jt + 8, a1);
         }
         if (jt < jn)
-            gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i, i + 1,
-                            jj + jt, jn - jt, pp, pk, k, bias, relu,
-                            mask);
+            gemmBlockScalar(ab, a_rs, a_cs, bpan + jt, ldb, od, n, i,
+                            i + 1, jj + jt, jn - jt, pk, last, bias,
+                            relu, mask);
     }
 }
 
@@ -371,70 +387,217 @@ colSumPanel(const float* RECSIM_RESTRICT xd, float* RECSIM_RESTRICT od,
 }
 
 /**
- * The shared GEMM core: od[m, n] (+)= A[m, k] * bd[k, n], blocked
- * kKc x kNc, row-parallel, with A(i, p) = ad[i * a_rs + p * a_cs] so
- * the same core serves matmul (a_rs = k, a_cs = 1) and matmulTransA
- * (a_rs = 1, a_cs = m). od must be zeroed (or hold the value being
- * accumulated into). When @p bias is non-null the bias(+relu) epilogue
- * runs inside the final k-panel store; when @p mask is non-null the
- * dReLU mask is applied there too. Per output element the k terms are
- * added in increasing p, one fma each (see ops.h contract), so
- * blocking, register tiling, vector width and threading change nothing
- * bitwise.
- *
- * When @p col_sum is non-null it receives, on top of its current
- * value, the column sums of bd (the fused bias gradient: bd is dy in
- * the grad GEMM). The chunk that owns row 0 performs the whole
- * reduction while its k-panels stream through bd anyway: for each jj
- * column block, panels arrive in increasing pp, and within a panel
- * rows are added in increasing order — per column exactly sumRows'
- * serial add sequence, hence bitwise identical to a separate
- * sumRows(dy, db), at any thread count.
+ * The output tiling of one GEMM: tiles of rows x cols (the last row
+ * block and the last column block may be smaller), numbered
+ * row-block-major. Tiles are the parallelFor chunks, so a tile's
+ * geometry depends only on (m, k, n).
  */
-void
-gemmBlocked(const float* RECSIM_RESTRICT ad, std::size_t a_rs,
-            std::size_t a_cs, const float* RECSIM_RESTRICT bd,
-            float* RECSIM_RESTRICT od, std::size_t m, std::size_t k,
-            std::size_t n, const float* RECSIM_RESTRICT bias = nullptr,
-            bool relu = false,
-            const float* RECSIM_RESTRICT mask = nullptr,
-            float* RECSIM_RESTRICT col_sum = nullptr)
+struct TileGrid
 {
-    // At least kMr rows per chunk so the register tile stays full;
-    // grain only changes which rows share a chunk, never the result.
-    const std::size_t grain =
-        std::max<std::size_t>(rowGrain(2 * k * n), kMr);
-    util::globalThreadPool().parallelFor(
-        0, m, grain, [=](std::size_t i0, std::size_t i1) {
-            for (std::size_t jj = 0; jj < n; jj += kNc) {
-                const std::size_t jn = std::min(kNc, n - jj);
-                for (std::size_t pp = 0; pp < k; pp += kKc) {
-                    const std::size_t pk = std::min(kKc, k - pp);
-                    if (col_sum != nullptr && i0 == 0)
-                        colSumPanel(bd + pp * n, col_sum, pk, n, jj,
-                                    jj + jn);
-#if defined(RECSIM_SIMD_X86)
-                    if (simd::enabled()) {
-                        gemmBlockAvx2(ad, a_rs, a_cs, bd, od, n, i0,
-                                      i1, jj, jn, pp, pk, k, bias,
-                                      relu, mask);
-                        continue;
-                    }
-#endif
-                    gemmBlockScalar(ad, a_rs, a_cs, bd, od, n, i0, i1,
-                                    jj, jn, pp, pk, k, bias, relu,
-                                    mask);
-                }
-            }
-        });
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::size_t col_tiles = 0;
+    std::size_t count = 0;
+};
+
+/**
+ * Tiles of at most kTileRows x kTileCols, rounded to whole register
+ * tiles. A GEMM with enough work for kMinTiles tiles of
+ * kMinWorkPerChunk FLOPs gets at least kMinTiles (more row blocks when
+ * the output has few column blocks) and no tile smaller than that; a
+ * smaller one is a single tile, which parallelFor runs inline.
+ */
+TileGrid
+tileGrid(std::size_t m, std::size_t k, std::size_t n)
+{
+    const std::size_t max_tiles = 2 * m * k * n / kMinWorkPerChunk;
+    if (max_tiles < kMinTiles)
+        return {m, n, 1, 1};
+    const std::size_t col_tiles =
+        std::min(ceilDiv(n, kTileCols), max_tiles);
+    const std::size_t row_tiles = std::min(
+        {std::max(ceilDiv(m, kTileRows), ceilDiv(kMinTiles, col_tiles)),
+         ceilDiv(m, kMr), max_tiles / col_tiles});
+    TileGrid grid;
+    grid.rows = std::min(m, kMr * ceilDiv(ceilDiv(m, row_tiles), kMr));
+    grid.cols = std::min(n, kNr * ceilDiv(ceilDiv(n, col_tiles), kNr));
+    grid.col_tiles = ceilDiv(n, grid.cols);
+    grid.count = ceilDiv(m, grid.rows) * grid.col_tiles;
+    return grid;
+}
+
+/** Floats per 64-byte cache line. */
+constexpr std::size_t kLineFloats = 64 / sizeof(float);
+
+/**
+ * Row stride, in floats, of a tile's scratch copy of a block @p width
+ * floats wide: an odd number of whole cache lines, so consecutive rows
+ * of the copy land in different L1 sets. (A power-of-two stride such
+ * as 128 floats puts the 128 rows a register tile walks down into 8
+ * sets, more lines than they hold.)
+ */
+std::size_t
+scratchStride(std::size_t width)
+{
+    return kLineFloats * (ceilDiv(width, kLineFloats) | 1);
 }
 
 /**
- * Per-thread transpose scratch for matmulTransB. Thread-local so
- * concurrent trainer threads never share it, persistent so the
- * steady-state training loop reuses the buffer instead of allocating.
+ * The calling thread's scratch buffer @p slot (one per operand),
+ * grown to at least @p size floats. Thread-local, so concurrent GEMMs
+ * never share it; a tile fills and consumes it before the thread runs
+ * another tile.
  */
-thread_local Tensor tl_transpose_scratch;
+float*
+tileScratch(std::size_t slot, std::size_t size)
+{
+    thread_local std::vector<float> scratch[2];
+    if (scratch[slot].size() < size)
+        scratch[slot].resize(size);
+    return scratch[slot].data();
+}
+
+/**
+ * Copy the block A(i0 + i, pp + p), i < rows, p < pk, of a transposed
+ * left operand (ad holds A^T as [k, m] row-major, A(i, p) =
+ * ad[p * m + i]) into scratch as pk contiguous runs of rows floats,
+ * @p lda apart. Reading A^T in place would walk the register tile's
+ * k terms m floats apart, a stride the hardware prefetcher does not
+ * follow and that aliases in L1 for the power-of-two layer widths.
+ */
+const float*
+copyTransABlock(const float* RECSIM_RESTRICT ad, std::size_t m,
+                std::size_t i0, std::size_t rows, std::size_t pp,
+                std::size_t pk, std::size_t lda)
+{
+    float* RECSIM_RESTRICT dst = tileScratch(0, pk * lda);
+    for (std::size_t p = 0; p < pk; ++p)
+        std::copy_n(ad + (pp + p) * m + i0, rows, dst + p * lda);
+    return dst;
+}
+
+/**
+ * Copy the block B(pp + p, jj + j), p < pk, j < jn, of a transposed
+ * right operand (bd holds B^T as [n, k] row-major, B(p, j) =
+ * bd[j * k + p]) into scratch as the row-major [pk, jn] panel the
+ * block kernels read, rows @p ldb apart. (The dot-product form of
+ * A (*) B^T keeps a serial chain per element that cannot vectorize
+ * without reassociation; the transposed copy feeds the same core and
+ * adds the k terms in the same increasing p.) Every source run is a
+ * contiguous piece of one row of bd, and the copy holds one tile's
+ * k-panel, not the whole operand.
+ */
+const float*
+transposeBBlock(const float* RECSIM_RESTRICT bd, std::size_t k,
+                std::size_t jj, std::size_t jn, std::size_t pp,
+                std::size_t pk, std::size_t ldb)
+{
+    float* RECSIM_RESTRICT dst = tileScratch(1, pk * ldb);
+    // Eight source rows at a time: each p step stores 32 contiguous
+    // bytes of a destination row instead of 4.
+    std::size_t j = 0;
+    for (; j + 8 <= jn; j += 8) {
+        const float* RECSIM_RESTRICT src = bd + (jj + j) * k + pp;
+        for (std::size_t p = 0; p < pk; ++p)
+            for (std::size_t u = 0; u < 8; ++u)
+                dst[p * ldb + j + u] = src[u * k + p];
+    }
+    for (; j < jn; ++j) {
+        const float* RECSIM_RESTRICT src = bd + (jj + j) * k + pp;
+        for (std::size_t p = 0; p < pk; ++p)
+            dst[p * ldb + j] = src[p];
+    }
+    return dst;
+}
+
+/**
+ * The operands of one GEMM: out[m, n] (+)= A[m, k] * B[k, n]. A is @p a
+ * as a row-major [m, k] matrix or, with @p a_trans, @p a holds A^T as
+ * [k, m]; likewise B is @p b as [k, n] or, with @p b_trans, B^T as
+ * [n, k]. @p out is row-major [m, n] and must be zeroed (or hold the
+ * value being accumulated into). When @p bias is non-null the
+ * bias(+relu) epilogue runs inside the final k-panel store; when
+ * @p mask is non-null the dReLU mask is applied there too. When
+ * @p col_sum is non-null (B not transposed) it receives, on top of its
+ * current value, the column sums of b (the fused bias gradient: b is
+ * dy in the grad GEMM).
+ */
+struct GemmArgs
+{
+    const float* a = nullptr;
+    bool a_trans = false;
+    const float* b = nullptr;
+    bool b_trans = false;
+    float* out = nullptr;
+    std::size_t m = 0;
+    std::size_t k = 0;
+    std::size_t n = 0;
+    const float* bias = nullptr;
+    bool relu = false;
+    const float* mask = nullptr;
+    float* col_sum = nullptr;
+};
+
+/**
+ * Compute the output tile rows [i0, i1) x columns [jj, jj + jn) of
+ * @p g, one kKc-deep k-panel at a time. The tile copies the blocks of a
+ * transposed operand it needs, per k-panel (copyTransABlock,
+ * transposeBBlock), and reads the others in place. Per output element
+ * the k terms are added in increasing p, one fma each (see ops.h
+ * contract), so tiling, copies, register blocking, vector width and
+ * threading change nothing bitwise.
+ *
+ * The tiles that own row 0 add the column sums of b for their columns
+ * while their k-panels stream through it anyway: panels arrive in
+ * increasing pp, and within a panel rows are added in increasing order
+ * — per column exactly sumRows' serial add sequence, hence bitwise
+ * identical to a separate sumRows(dy, db), at any thread count.
+ */
+void
+gemmTile(const GemmArgs& g, std::size_t i0, std::size_t i1,
+         std::size_t jj, std::size_t jn)
+{
+    const std::size_t a_rs = g.a_trans ? 1 : g.k;
+    const std::size_t a_cs = g.a_trans ? scratchStride(i1 - i0) : 1;
+    const std::size_t ldb = g.b_trans ? scratchStride(jn) : g.n;
+    for (std::size_t pp = 0; pp < g.k; pp += kKc) {
+        const std::size_t pk = std::min(kKc, g.k - pp);
+        const bool last = pp + pk == g.k;
+        if (g.col_sum != nullptr && i0 == 0)
+            colSumPanel(g.b + pp * g.n, g.col_sum, pk, g.n, jj, jj + jn);
+        const float* apan = g.a_trans
+            ? copyTransABlock(g.a, g.m, i0, i1 - i0, pp, pk, a_cs)
+            : g.a + i0 * g.k + pp;
+        const float* bpan = g.b_trans
+            ? transposeBBlock(g.b, g.k, jj, jn, pp, pk, ldb)
+            : g.b + pp * g.n + jj;
+#if defined(RECSIM_SIMD_X86)
+        if (simd::enabled()) {
+            gemmBlockAvx2(apan, a_rs, a_cs, bpan, ldb, g.out, g.n, i0, i1,
+                          jj, jn, pk, last, g.bias, g.relu, g.mask);
+            continue;
+        }
+#endif
+        gemmBlockScalar(apan, a_rs, a_cs, bpan, ldb, g.out, g.n, i0, i1,
+                        jj, jn, pk, last, g.bias, g.relu, g.mask);
+    }
+}
+
+/** The shared GEMM core: @p g cut into tileGrid()'s tiles. */
+void
+gemmBlocked(const GemmArgs& g)
+{
+    const TileGrid grid = tileGrid(g.m, g.k, g.n);
+    util::globalThreadPool().parallelFor(
+        0, grid.count, 1, [&](std::size_t t0, std::size_t t1) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::size_t i0 = t / grid.col_tiles * grid.rows;
+                const std::size_t jj = t % grid.col_tiles * grid.cols;
+                gemmTile(g, i0, std::min(i0 + grid.rows, g.m), jj,
+                         std::min(grid.cols, g.n - jj));
+            }
+        });
+}
 
 } // namespace
 
@@ -447,7 +610,8 @@ matmul(const Tensor& a, const Tensor& b, Tensor& out)
                   a.shapeString(), b.shapeString());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize(m, n);
-    gemmBlocked(a.data(), k, 1, b.data(), out.data(), m, k, n);
+    gemmBlocked({.a = a.data(), .b = b.data(), .out = out.data(), .m = m,
+                 .k = k, .n = n});
 }
 
 void
@@ -462,8 +626,8 @@ matmulBiasAct(const Tensor& a, const Tensor& b, const Tensor& bias,
                   bias.shapeString(), b.shapeString());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize(m, n);
-    gemmBlocked(a.data(), k, 1, b.data(), out.data(), m, k, n,
-                bias.data(), relu);
+    gemmBlocked({.a = a.data(), .b = b.data(), .out = out.data(), .m = m,
+                 .k = k, .n = n, .bias = bias.data(), .relu = relu});
 }
 
 void
@@ -475,42 +639,9 @@ matmulTransA(const Tensor& a, const Tensor& b, Tensor& out)
                   a.shapeString(), b.shapeString());
     const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
     out.resize(m, n);
-    // a is [k, m]; column i is walked with stride m — k strided
-    // broadcasts per register tile row, negligible next to the
-    // k * n FMAs.
-    gemmBlocked(a.data(), 1, m, b.data(), out.data(), m, k, n);
+    gemmBlocked({.a = a.data(), .a_trans = true, .b = b.data(),
+                 .out = out.data(), .m = m, .k = k, .n = n});
 }
-
-namespace {
-
-/**
- * Transpose rows [c0, c0 + w) of row-major @p b (each of length k)
- * into the per-thread scratch as a [k, w] row-major panel, ready to be
- * the right operand of the row-major GEMM core. The dot-product form
- * of out = a (*) b^T keeps a serial dependence chain per element that
- * cannot auto-vectorize without reassociation; transposing once and
- * running the vectorized core adds its k terms in the same increasing
- * p order, so the result is bitwise identical to the dot-product loop.
- */
-const float*
-transposePanel(const Tensor& b, std::size_t c0, std::size_t w)
-{
-    const std::size_t k = b.cols();
-    Tensor& bt = tl_transpose_scratch;
-    bt.resize(k, w);
-    const float* RECSIM_RESTRICT bd = b.data() + c0 * k;
-    float* RECSIM_RESTRICT btd = bt.data();
-    util::globalThreadPool().parallelFor(
-        0, k, rowGrain(w),
-        [=](std::size_t p0, std::size_t p1) {
-            for (std::size_t p = p0; p < p1; ++p)
-                for (std::size_t j = 0; j < w; ++j)
-                    btd[p * w + j] = bd[j * k + p];
-        });
-    return btd;
-}
-
-} // namespace
 
 void
 matmulTransB(const Tensor& a, const Tensor& b, Tensor& out)
@@ -532,10 +663,9 @@ matmulTransBMask(const Tensor& a, const Tensor& b, const Tensor* mask,
                       "matmulTransBMask mask {} for [{} x {}] output",
                       mask->shapeString(), m, n);
     out.resize(m, n);
-    const float* btd = transposePanel(b, 0, n);
-    gemmBlocked(a.data(), k, 1, btd, out.data(), m, k, n,
-                /*bias=*/nullptr, /*relu=*/false,
-                mask != nullptr ? mask->data() : nullptr);
+    gemmBlocked({.a = a.data(), .b = b.data(), .b_trans = true,
+                 .out = out.data(), .m = m, .k = k, .n = n,
+                 .mask = mask != nullptr ? mask->data() : nullptr});
 }
 
 void
@@ -552,9 +682,9 @@ matmulTransABiasGrad(const Tensor& x, const Tensor& dy, Tensor& dw,
         db.resize(n);
     else
         db.zero();
-    gemmBlocked(x.data(), 1, m, dy.data(), dw.data(), m, k, n,
-                /*bias=*/nullptr, /*relu=*/false, /*mask=*/nullptr,
-                db.data());
+    gemmBlocked({.a = x.data(), .a_trans = true, .b = dy.data(),
+                 .out = dw.data(), .m = m, .k = k, .n = n,
+                 .col_sum = db.data()});
 }
 
 void
@@ -576,19 +706,51 @@ matmulTransBSegmented(const Tensor& a, const Tensor& b,
     // buffer and then += the GEMM result: acc + 0.0f == 0.0f + acc
     // bitwise (both give +0.0f when acc is -0.0f).
     thread_local Tensor tl_zero_bias;
-    std::size_t c0 = 0;
+    std::size_t zero_width = 0;
     for (GemmOutSegment& seg : segments) {
-        const std::size_t w = seg.width;
-        seg.out->resize(m, w);
-        const float* btd = transposePanel(b, c0, w);
-        const float* zb = nullptr;
-        if (seg.zero_bias) {
-            tl_zero_bias.resize(w);
-            zb = tl_zero_bias.data();
-        }
-        gemmBlocked(a.data(), k, 1, btd, seg.out->data(), m, k, w, zb);
-        c0 += w;
+        seg.out->resize(m, seg.width);
+        if (seg.zero_bias)
+            zero_width = std::max(zero_width, seg.width);
     }
+    if (m == 0 || total == 0)
+        return;
+    if (tl_zero_bias.size() < zero_width)
+        tl_zero_bias.resize(zero_width);
+    const float* zero_bias = tl_zero_bias.data();
+
+    // One tiled GEMM over the whole product: the row blocks of its
+    // tileGrid(), and column tiles of its width cut at segment edges.
+    // A narrow segment so stays one column tile per row block, and
+    // each tile transposes only its own block of b, once.
+    const TileGrid grid = tileGrid(m, k, total);
+    std::size_t col_tiles = 0;
+    for (const GemmOutSegment& seg : segments)
+        col_tiles += ceilDiv(seg.width, grid.cols);
+    util::globalThreadPool().parallelFor(
+        0, ceilDiv(m, grid.rows) * col_tiles, 1,
+        [&](std::size_t t0, std::size_t t1) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::size_t i0 = t / col_tiles * grid.rows;
+                std::size_t c = t % col_tiles, c0 = 0;
+                for (const GemmOutSegment& seg : segments) {
+                    const std::size_t w = seg.width;
+                    const std::size_t tiles = ceilDiv(w, grid.cols);
+                    if (c < tiles) {
+                        const std::size_t jj = c * grid.cols;
+                        gemmTile({.a = a.data(), .b = b.data() + c0 * k,
+                                  .b_trans = true, .out = seg.out->data(),
+                                  .m = m, .k = k, .n = w,
+                                  .bias = seg.zero_bias ? zero_bias
+                                                        : nullptr},
+                                 i0, std::min(i0 + grid.rows, m), jj,
+                                 std::min(grid.cols, w - jj));
+                        break;
+                    }
+                    c -= tiles;
+                    c0 += w;
+                }
+            }
+        });
 }
 
 void

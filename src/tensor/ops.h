@@ -56,7 +56,8 @@ void matmulBiasAct(const Tensor& a, const Tensor& b, const Tensor& bias,
  * GEMM follows the ops.h accumulation contract unchanged, and db's
  * per-column adds run in increasing row order — exactly sumRows'
  * per-element sequence (the k-panels visit rows in increasing blocks,
- * and one chunk owns the whole reduction).
+ * and each column's whole reduction is done by the one output tile
+ * that holds row 0 of that column).
  */
 void matmulTransABiasGrad(const Tensor& x, const Tensor& dy, Tensor& dw,
                           Tensor& db);

@@ -135,6 +135,68 @@ reluMaskSpanAvx2(const float* y, const float* dy, float* dx,
 
 #endif // RECSIM_SIMD_X86
 
+/**
+ * The scalar loops the optimizer kernels must reproduce; also the
+ * tails of the vector loops. Built without fp contraction, so the
+ * multiply and the add/subtract round separately, as vmulps + vaddps
+ * do.
+ */
+inline void
+adagradScalar(float* p, float* acc, const float* g, std::size_t i,
+              std::size_t n, float lr, float eps)
+{
+    for (; i < n; ++i) {
+        acc[i] += g[i] * g[i];
+        p[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+    }
+}
+
+inline void
+sgdScalar(float* p, const float* g, std::size_t i, std::size_t n,
+          float lr)
+{
+    for (; i < n; ++i)
+        p[i] -= lr * g[i];
+}
+
+#if defined(RECSIM_SIMD_X86)
+
+__attribute__((target("avx2,fma"))) void
+adagradSpanAvx2(float* p, float* acc, const float* g, std::size_t n,
+                float lr, float eps)
+{
+    const __m256 lrv = _mm256_set1_ps(lr);
+    const __m256 epsv = _mm256_set1_ps(eps);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 gv = _mm256_loadu_ps(g + i);
+        const __m256 a = _mm256_add_ps(_mm256_loadu_ps(acc + i),
+                                       _mm256_mul_ps(gv, gv));
+        _mm256_storeu_ps(acc + i, a);
+        const __m256 step =
+            _mm256_div_ps(_mm256_mul_ps(lrv, gv),
+                          _mm256_add_ps(_mm256_sqrt_ps(a), epsv));
+        _mm256_storeu_ps(p + i,
+                         _mm256_sub_ps(_mm256_loadu_ps(p + i), step));
+    }
+    adagradScalar(p, acc, g, i, n, lr, eps);
+}
+
+__attribute__((target("avx2,fma"))) void
+sgdSpanAvx2(float* p, const float* g, std::size_t n, float lr)
+{
+    const __m256 lrv = _mm256_set1_ps(lr);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(
+            p + i, _mm256_sub_ps(_mm256_loadu_ps(p + i),
+                                 _mm256_mul_ps(lrv,
+                                               _mm256_loadu_ps(g + i))));
+    sgdScalar(p, g, i, n, lr);
+}
+
+#endif // RECSIM_SIMD_X86
+
 bool
 computeEnabled()
 {
@@ -209,6 +271,31 @@ reluMaskSpan(const float* y, const float* dy, float* dx, std::size_t n)
 #endif
     for (std::size_t i = 0; i < n; ++i)
         dx[i] = y[i] > 0.0f ? dy[i] : 0.0f;
+}
+
+void
+adagradSpan(float* p, float* acc, const float* g, std::size_t n,
+            float lr, float eps)
+{
+#if defined(RECSIM_SIMD_X86)
+    if (enabled()) {
+        adagradSpanAvx2(p, acc, g, n, lr, eps);
+        return;
+    }
+#endif
+    adagradScalar(p, acc, g, 0, n, lr, eps);
+}
+
+void
+sgdSpan(float* p, const float* g, std::size_t n, float lr)
+{
+#if defined(RECSIM_SIMD_X86)
+    if (enabled()) {
+        sgdSpanAvx2(p, g, n, lr);
+        return;
+    }
+#endif
+    sgdScalar(p, g, 0, n, lr);
 }
 
 } // namespace simd

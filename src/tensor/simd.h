@@ -72,6 +72,25 @@ void sigmoidSpan(float* x, std::size_t n);
 void reluMaskSpan(const float* y, const float* dy, float* dx,
                   std::size_t n);
 
+/**
+ * Dense Adagrad over a span, per element exactly the float ops of
+ *   acc[i] += g[i] * g[i];
+ *   p[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+ * in that order, each correctly rounded and none fused (the tensor
+ * sources build with -ffp-contract=off, so the AVX2 mul + add pairs
+ * are not contracted into an fma). The AVX2 lanes, the scalar tail and
+ * the scalar fallback are therefore bit-identical to that loop. No
+ * threading — callers chunk via parallelFor.
+ */
+void adagradSpan(float* p, float* acc, const float* g, std::size_t n,
+                 float lr, float eps);
+
+/**
+ * Dense SGD over a span: p[i] -= lr * g[i], one multiply then one
+ * subtract per element (not fused), bit-identical across paths.
+ */
+void sgdSpan(float* p, const float* g, std::size_t n, float lr);
+
 } // namespace simd
 } // namespace tensor
 } // namespace recsim

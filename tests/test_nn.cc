@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "nn/embedding_bag.h"
@@ -17,7 +19,9 @@
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace recsim::nn {
 namespace {
@@ -489,6 +493,173 @@ TEST(Adagrad, RowwiseSparseOnlyTouchesRows)
     opt.stepSparse(bag, grad);
     EXPECT_NE(bag.table.at(1, 0), before.at(1, 0));
     EXPECT_EQ(bag.table.at(0, 0), before.at(0, 0));
+}
+
+// ---- Dense optimizer kernels ---------------------------------------
+
+/**
+ * Adagrad::step's dense loop as it was written before it moved onto
+ * tensor::simd::adagradSpan, kept as the oracle: every kernel path must
+ * reproduce it bit for bit.
+ */
+void
+adagradLoop(float* p, float* acc, const float* g, std::size_t n,
+            float lr, float eps)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        acc[i] += g[i] * g[i];
+        p[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+    }
+}
+
+/** Sgd::step's dense loop before tensor::simd::sgdSpan. */
+void
+sgdLoop(float* p, const float* g, std::size_t n, float lr)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        p[i] -= lr * g[i];
+}
+
+/** Restores the global pool to its configured size on scope exit. */
+struct PoolSizeGuard
+{
+    ~PoolSizeGuard()
+    {
+        util::globalThreadPool().resize(util::configuredThreads());
+    }
+};
+
+bool
+bitwiseEqual(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * A dense gradient sweep: every fifth element is one of the edge
+ * values (signed zeros, denormals, squares that underflow or overflow
+ * to inf, the largest floats), the rest are random over 24 decades.
+ */
+std::vector<float>
+gradientSweep(std::size_t n, uint64_t seed)
+{
+    constexpr float kMax = std::numeric_limits<float>::max();
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    constexpr float kNormMin = std::numeric_limits<float>::min();
+    const float edges[] = {-0.0f, 0.0f,    kDenorm,  -kDenorm, 1e-40f,
+                           -3e-39f, kNormMin, -kNormMin, 1e-20f, -1e-23f,
+                           1.8e19f, -2e19f,  1e30f,    kMax,     -kMax};
+    constexpr std::size_t kEdges = sizeof(edges) / sizeof(edges[0]);
+    util::Rng rng(seed);
+    std::vector<float> g(n);
+    for (std::size_t i = 0; i < n; ++i)
+        g[i] = i % 5 == 0 ? edges[(i / 5) % kEdges]
+                          : static_cast<float>(
+                                rng.normal() *
+                                std::pow(10.0, rng.uniform(-12.0, 12.0)));
+    return g;
+}
+
+std::vector<float>
+uniformVector(std::size_t n, double lo, double hi, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<float> v(n);
+    for (float& x : v)
+        x = static_cast<float>(rng.uniform(lo, hi));
+    return v;
+}
+
+TEST(DenseOptimizerKernels, SpanKernelsMatchScalarLoopsOverSweep)
+{
+    // 8191 = 1023 full AVX2 vectors plus a 7-element scalar tail. Five
+    // steps from non-zero accumulators, so acc + g * g rounds the
+    // product before the add (an fma would not) on most elements.
+    constexpr std::size_t n = 8191;
+    const float lr = 0.01f, eps = 1e-8f;
+    std::vector<float> p = uniformVector(n, -1.0, 1.0, 1);
+    std::vector<float> acc = uniformVector(n, 0.0, 4.0, 2);
+    std::vector<float> p_sgd = p;
+    std::vector<float> want_p = p, want_acc = acc, want_sgd = p;
+    for (uint64_t step = 0; step < 5; ++step) {
+        const std::vector<float> g = gradientSweep(n, 10 + step);
+        tensor::simd::adagradSpan(p.data(), acc.data(), g.data(), n, lr,
+                                  eps);
+        adagradLoop(want_p.data(), want_acc.data(), g.data(), n, lr,
+                    eps);
+        tensor::simd::sgdSpan(p_sgd.data(), g.data(), n, lr);
+        sgdLoop(want_sgd.data(), g.data(), n, lr);
+        EXPECT_TRUE(bitwiseEqual(acc, want_acc)) << "step " << step;
+        EXPECT_TRUE(bitwiseEqual(p, want_p)) << "step " << step;
+        EXPECT_TRUE(bitwiseEqual(p_sgd, want_sgd)) << "step " << step;
+    }
+}
+
+TEST(DenseOptimizerKernels, VectorLaneMatchesScalarTail)
+{
+    // 9 copies of one (param, acc, grad) triple: lane 0 runs in the
+    // 8-wide body, lane 8 in the scalar tail.
+    const std::vector<float> grads = gradientSweep(60, 3);
+    for (const float gv : grads) {
+        for (const float av : {0.0f, 1e-30f, 0.37f, 3e7f}) {
+            float p[9], acc[9], g[9], p_sgd[9];
+            for (int i = 0; i < 9; ++i) {
+                p[i] = p_sgd[i] = 0.25f;
+                acc[i] = av;
+                g[i] = gv;
+            }
+            tensor::simd::adagradSpan(p, acc, g, 9, 0.01f, 1e-8f);
+            tensor::simd::sgdSpan(p_sgd, g, 9, 0.01f);
+            EXPECT_EQ(std::memcmp(&p[0], &p[8], sizeof(float)), 0)
+                << "g = " << gv << ", acc = " << av;
+            EXPECT_EQ(std::memcmp(&acc[0], &acc[8], sizeof(float)), 0)
+                << "g = " << gv << ", acc = " << av;
+            EXPECT_EQ(std::memcmp(&p_sgd[0], &p_sgd[8], sizeof(float)),
+                      0)
+                << "g = " << gv;
+        }
+    }
+}
+
+TEST(DenseOptimizerKernels, StepsMatchScalarLoopsAtPool1And8)
+{
+    // Several pool chunks plus a ragged end; the optimizers must give
+    // the oracle's bits whatever the pool size.
+    constexpr std::size_t n = 200003;
+    const float lr = 0.05f;
+    const std::vector<float> p0 = uniformVector(n, -1.0, 1.0, 4);
+    Tensor grad(n);
+    std::vector<std::vector<float>> grads;
+    for (uint64_t step = 0; step < 3; ++step)
+        grads.push_back(gradientSweep(n, 20 + step));
+
+    std::vector<float> want_p = p0, want_acc(n, 0.0f), want_sgd = p0;
+    for (const std::vector<float>& g : grads) {
+        adagradLoop(want_p.data(), want_acc.data(), g.data(), n, lr,
+                    1e-8f);
+        sgdLoop(want_sgd.data(), g.data(), n, lr);
+    }
+
+    PoolSizeGuard guard;
+    for (const std::size_t threads : {1, 8}) {
+        SCOPED_TRACE(::testing::Message() << "pool " << threads);
+        util::globalThreadPool().resize(threads);
+        Tensor p(n), p_sgd(n);
+        std::memcpy(p.data(), p0.data(), n * sizeof(float));
+        std::memcpy(p_sgd.data(), p0.data(), n * sizeof(float));
+        Adagrad adagrad(lr);
+        const Sgd sgd(lr);
+        for (const std::vector<float>& g : grads) {
+            std::memcpy(grad.data(), g.data(), n * sizeof(float));
+            adagrad.step(p, grad);
+            sgd.step(p_sgd, grad);
+        }
+        EXPECT_TRUE(bitwiseEqual({p.data(), p.data() + n}, want_p));
+        EXPECT_TRUE(bitwiseEqual(adagrad.denseState(p), want_acc));
+        EXPECT_TRUE(
+            bitwiseEqual({p_sgd.data(), p_sgd.data() + n}, want_sgd));
+    }
 }
 
 TEST(OptimizerDeath, NonPositiveLrPanics)

@@ -14,6 +14,7 @@
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace recsim::tensor {
 namespace {
@@ -564,6 +565,142 @@ TEST(Matmul, TransBSegmentedBitwiseEqualsColumnSplit)
                 << "element (" << i << ", " << j << ")";
         }
 }
+
+// ---- GEMM output tiles ---------------------------------------------
+
+Tensor
+transposed(const Tensor& x)
+{
+    Tensor t(x.cols(), x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+        for (std::size_t j = 0; j < x.cols(); ++j)
+            t.at(j, i) = x.at(i, j);
+    return t;
+}
+
+/** Restores the global pool to its configured size on scope exit. */
+struct PoolSizeGuard
+{
+    ~PoolSizeGuard()
+    {
+        util::globalThreadPool().resize(util::configuredThreads());
+    }
+};
+
+/** (m, k, n) of the logical product A [m, k] x B [k, n]. */
+class GemmTileEdges
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, std::size_t>>
+{
+};
+
+TEST_P(GemmTileEdges, EveryEntryPointMatchesContractAtPool1And8)
+{
+    // Each entry point is fed the operand layout it expects (A^T for
+    // the transposed-A kernels, B^T for the transposed-B ones) and must
+    // reproduce the literal fma fold bit for bit — with the epilogue,
+    // mask, bias-grad and segment split applied to the fold's result —
+    // whatever tiles the shape is cut into and however many threads
+    // run them.
+    const auto [m, k, n] = GetParam();
+    const Tensor a = randomMatrix(m, k, 100 + m);
+    const Tensor b = randomMatrix(k, n, 200 + n);
+    const Tensor at = transposed(a), bt = transposed(b);
+    util::Rng rng(300 + k);
+    Tensor bias(n);
+    bias.fillNormal(rng, 1.0f);
+    Tensor mask = randomMatrix(m, n, 400 + k);
+    mask.at(0, 0) = -0.0f;
+    mask.at(m - 1, n - 1) = 0.0f;
+
+    const Tensor want = contractMatmul(a, b);
+    Tensor want_bias(m, n), want_relu(m, n), want_mask(m, n);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            want_bias.at(i, j) = want.at(i, j) + bias[j];
+            want_relu.at(i, j) = std::max(want_bias.at(i, j), 0.0f);
+            want_mask.at(i, j) =
+                mask.at(i, j) > 0.0f ? want.at(i, j) : 0.0f;
+        }
+    Tensor want_db(n);
+    for (std::size_t p = 0; p < k; ++p)
+        for (std::size_t j = 0; j < n; ++j)
+            want_db[j] += b.at(p, j);
+
+    // Segments: a zero-bias head of half the columns, then pieces of at
+    // most 64 (the concat interaction's per-table outputs).
+    std::vector<std::size_t> widths = {n / 2};
+    for (std::size_t c = n / 2; c < n; c += 64)
+        widths.push_back(std::min<std::size_t>(64, n - c));
+
+    PoolSizeGuard guard;
+    for (const std::size_t threads : {1, 8}) {
+        SCOPED_TRACE(::testing::Message() << "pool " << threads);
+        util::globalThreadPool().resize(threads);
+        Tensor got;
+        matmul(a, b, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want)) << "matmul";
+        matmulTransA(at, b, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want)) << "matmulTransA";
+        matmulTransB(a, bt, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want)) << "matmulTransB";
+        matmulBiasAct(a, b, bias, false, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want_bias)) << "bias";
+        matmulBiasAct(a, b, bias, true, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want_relu)) << "bias+relu";
+        matmulTransBMask(a, bt, &mask, got);
+        EXPECT_TRUE(bitwiseEqualTensors(got, want_mask)) << "mask";
+
+        Tensor dw, db;
+        matmulTransABiasGrad(at, b, dw, db);
+        EXPECT_TRUE(bitwiseEqualTensors(dw, want)) << "bias-grad dw";
+        EXPECT_TRUE(bitwiseEqualTensors(db, want_db)) << "bias-grad db";
+
+        std::vector<Tensor> outs(widths.size());
+        std::vector<GemmOutSegment> segs;
+        for (std::size_t s = 0; s < widths.size(); ++s)
+            segs.push_back({&outs[s], widths[s], s == 0});
+        matmulTransBSegmented(a, bt, segs);
+        bool segments_equal = true;
+        for (std::size_t s = 0, c0 = 0; s < widths.size(); ++s) {
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < widths[s]; ++j) {
+                    const float expect = s == 0
+                        ? want.at(i, c0 + j) + 0.0f : want.at(i, c0 + j);
+                    segments_equal = segments_equal &&
+                        std::memcmp(&outs[s].at(i, j), &expect,
+                                    sizeof(float)) == 0;
+                }
+            c0 += widths[s];
+        }
+        EXPECT_TRUE(segments_equal) << "segmented";
+    }
+}
+
+// Shapes that cross the tiling's edges: output widths one under, at
+// and over the 128-column tile and a three-tile width; row counts
+// around the 240-row block (wide enough that the column tiles alone
+// reach the minimum tile count) and under one 6-row register tile
+// (with enough work to be split into column tiles); depths around the
+// 128-deep k-panel; an output with one column block that is split into
+// row blocks instead; and the train_mlp layer shapes.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, GemmTileEdges,
+    ::testing::Values(std::make_tuple(13, 131, 127),
+                      std::make_tuple(13, 131, 128),
+                      std::make_tuple(13, 131, 129),
+                      std::make_tuple(7, 131, 257),
+                      std::make_tuple(239, 41, 513),
+                      std::make_tuple(240, 41, 513),
+                      std::make_tuple(241, 41, 513),
+                      std::make_tuple(1, 1024, 129),
+                      std::make_tuple(5, 129, 257),
+                      std::make_tuple(31, 127, 45),
+                      std::make_tuple(31, 128, 45),
+                      std::make_tuple(31, 129, 45),
+                      std::make_tuple(128, 1024, 64),
+                      std::make_tuple(128, 504, 1024),
+                      std::make_tuple(128, 896, 1024)));
 
 TEST(Simd, ReluMaskSpanVectorLaneMatchesScalarTail)
 {
