@@ -2,10 +2,11 @@
  * @file
  * Kernel benchmark with a serial-vs-parallel regression gate. Measures
  * the library's hot compute kernels — GEMM variants, elementwise ops,
- * embedding-bag forward/backward, the quantized dequant path and the
- * full DLRM step — once with a 1-thread pool and once with N threads,
- * and emits BENCH_kernels.json (GFLOP/s for GEMMs, elem/s, lookups/s
- * or examples/s elsewhere) for CI to diff and gate on.
+ * embedding-bag forward/backward and sparse updates, the quantized
+ * dequant path and the full DLRM step — once with a 1-thread pool and
+ * once with N threads, and emits BENCH_kernels.json (GFLOP/s for GEMMs,
+ * elem/s, lookups/s, rows/s or examples/s elsewhere) for CI to diff and
+ * gate on.
  *
  * A naive triple-loop GEMM (the pre-thread-pool kernel, zero-skip
  * branch included) is measured alongside as the historical baseline,
@@ -371,6 +372,16 @@ main(int argc, char** argv)
                                        nn::EmbeddingPrecision::Int8);
         h.run("embedding_fwd_int8", "lookups/s", total,
               [&] { qbag.forward(sb, pooled); });
+        // The row-wise update of that gradient into the table, as the
+        // training step runs it per table. One table's update is
+        // serial, so the parallel column only repeats the serial one.
+        const double rows = static_cast<double>(grad.rows.size());
+        nn::Adagrad adagrad(1e-3f);
+        h.run("embedding_adagrad", "rows/s", rows,
+              [&] { adagrad.stepSparse(bag, grad); });
+        const nn::Sgd sgd(1e-3f);
+        h.run("embedding_sgd", "rows/s", rows,
+              [&] { sgd.stepSparse(bag, grad); });
     }
 
     // --- Full model step -----------------------------------------------

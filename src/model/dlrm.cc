@@ -418,8 +418,9 @@ Dlrm::zeroGrad()
         g.rows.clear();
 }
 
+template <typename Opt>
 void
-Dlrm::step(const nn::Sgd& opt)
+Dlrm::stepDenseWith(Opt& opt)
 {
     opt.step(*bottom_);
     opt.step(*top_);
@@ -427,23 +428,52 @@ Dlrm::step(const nn::Sgd& opt)
         if (proj)
             opt.step(*proj);
     }
+}
+
+template <typename Opt>
+void
+Dlrm::stepWith(Opt& opt)
+{
+    stepDense(opt);
     for (std::size_t f = 0; f < tables_.size(); ++f)
-        opt.stepSparse(tables_[f], sparse_grads_[f]);
+        stepTable(f, opt);
     zeroGrad();
+}
+
+void
+Dlrm::step(const nn::Sgd& opt)
+{
+    stepWith(opt);
 }
 
 void
 Dlrm::step(nn::Adagrad& opt)
 {
-    opt.step(*bottom_);
-    opt.step(*top_);
-    for (auto& proj : projections_) {
-        if (proj)
-            opt.step(*proj);
-    }
-    for (std::size_t f = 0; f < tables_.size(); ++f)
-        opt.stepSparse(tables_[f], sparse_grads_[f]);
-    zeroGrad();
+    stepWith(opt);
+}
+
+void
+Dlrm::stepTable(std::size_t f, const nn::Sgd& opt)
+{
+    opt.stepSparse(tables_[f], sparse_grads_[f]);
+}
+
+void
+Dlrm::stepTable(std::size_t f, nn::Adagrad& opt)
+{
+    opt.stepSparse(tables_[f], sparse_grads_[f]);
+}
+
+void
+Dlrm::stepDense(const nn::Sgd& opt)
+{
+    stepDenseWith(opt);
+}
+
+void
+Dlrm::stepDense(nn::Adagrad& opt)
+{
+    stepDenseWith(opt);
 }
 
 double

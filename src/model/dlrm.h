@@ -148,11 +148,33 @@ class Dlrm
     /** Zero dense grads and drop stored sparse grads. */
     void zeroGrad();
 
+    // --- The optimizer node ---------------------------------------
+    // step() is stepDense() plus stepTable() for every table, then
+    // zeroGrad(). The fused training step
+    // (train::GraphExecutor::trainStep) instead runs stepTable(f)
+    // inside table f's backward node and stepDense() after the
+    // backward waves. Neither order changes a bit: table f's update
+    // writes only table f and its accumulator, which nothing else in
+    // the step reads.
+
     /** Apply accumulated grads with SGD and clear them. */
     void step(const nn::Sgd& opt);
 
     /** Apply accumulated grads with Adagrad and clear them. */
     void step(nn::Adagrad& opt);
+
+    /**
+     * Apply table @p f's stored sparse gradient; grads stay stored.
+     * Writes only table f (and, for Adagrad, its row accumulator), so
+     * different tables may be updated concurrently — with Adagrad once
+     * nn::Adagrad::reserveRowState() has created every accumulator.
+     */
+    void stepTable(std::size_t f, const nn::Sgd& opt);
+    void stepTable(std::size_t f, nn::Adagrad& opt);
+
+    /** Apply the MLP and projection grads; grads stay stored. */
+    void stepDense(const nn::Sgd& opt);
+    void stepDense(nn::Adagrad& opt);
 
     /** Mean BCE loss on a batch without touching grads. */
     double evalLoss(const data::MiniBatch& batch);
@@ -187,6 +209,10 @@ class Dlrm
     std::size_t numDenseParams() const;
 
   private:
+    /** The shared bodies of the step() and stepDense() overloads. */
+    template <typename Opt> void stepWith(Opt& opt);
+    template <typename Opt> void stepDenseWith(Opt& opt);
+
     /** The forward graph walk shared by forward() and the trainer. */
     void runForwardGraph(const data::MiniBatch& batch);
     /** The backward graph walk (after lossBackward()). */

@@ -62,7 +62,11 @@ struct EmbeddingTierStats
 /**
  * Storage backend interface. One instance serves one EmbeddingBag (the
  * bag installs itself as the single caller); forwardRange() is invoked
- * concurrently from thread-pool chunks, everything else is serial.
+ * concurrently from thread-pool chunks, every other call on one
+ * instance is serial. Instances of different tables do run
+ * concurrently: the executor's waves look tables up side by side, and
+ * the fused training step (train::GraphExecutor::trainStep) runs each
+ * table's noteBackward() and update on its own worker.
  */
 class EmbeddingBackend
 {
@@ -164,7 +168,8 @@ class DramBackend : public EmbeddingBackend
   private:
     std::atomic<uint64_t> lookups_{0};
     std::atomic<uint64_t> read_bytes_{0};
-    uint64_t write_bytes_ = 0;  ///< Updates are serial; no atomic needed.
+    /** One instance's updates are serial; no atomic needed. */
+    uint64_t write_bytes_ = 0;
     uint64_t grad_bytes_ = 0;
     uint64_t batches_ = 0;
 };

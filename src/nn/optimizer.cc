@@ -102,15 +102,25 @@ Adagrad::step(Mlp& mlp)
 }
 
 void
-Adagrad::stepSparse(EmbeddingBag& bag, const SparseGrad& grad)
+Adagrad::reserveRowState(const EmbeddingBag& bag)
 {
     auto& acc = row_state_[bag.table.data()];
     if (acc.size() != bag.hashSize())
         acc.assign(bag.hashSize(), 0.0f);
+}
+
+void
+Adagrad::stepSparse(EmbeddingBag& bag, const SparseGrad& grad)
+{
+    auto it = row_state_.find(bag.table.data());
+    if (it == row_state_.end() || it->second.size() != bag.hashSize()) {
+        reserveRowState(bag);
+        it = row_state_.find(bag.table.data());
+    }
     // The optimizer owns the accumulator (checkpointable via
     // rowState); the bag's storage backend owns the row arithmetic
     // and the per-tier write accounting.
-    bag.applyAdagrad(grad, acc, lr_, eps_);
+    bag.applyAdagrad(grad, it->second, lr_, eps_);
 }
 
 std::vector<float>

@@ -66,8 +66,21 @@ class Adagrad
     void step(Mlp& mlp);
     void step(Linear& layer);
 
-    /** Row-wise sparse update. */
+    /**
+     * Row-wise sparse update. Creates @p bag's row accumulator on first
+     * use, which inserts into a map shared by all tables; once
+     * reserveRowState() has created it, the call only looks it up and
+     * writes @p bag and its own accumulator, so different bags may be
+     * updated concurrently.
+     */
     void stepSparse(EmbeddingBag& bag, const SparseGrad& grad);
+
+    /**
+     * Create @p bag's zeroed row accumulator if it has none (serial).
+     * The fused training step calls this for every table before the
+     * backward wave that updates tables concurrently.
+     */
+    void reserveRowState(const EmbeddingBag& bag);
 
     float lr() const { return lr_; }
     void setLr(float lr) { lr_ = lr; }

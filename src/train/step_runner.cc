@@ -156,6 +156,29 @@ const std::vector<uint32_t> kNoChannels;
 
 } // namespace
 
+/** The optimizer trainStep() applies: exactly one of the two is set. */
+struct GraphExecutor::Optimizer
+{
+    const nn::Sgd* sgd = nullptr;
+    nn::Adagrad* adagrad = nullptr;
+
+    void stepTable(model::Dlrm& model, std::size_t f) const
+    {
+        if (sgd != nullptr)
+            model.stepTable(f, *sgd);
+        else
+            model.stepTable(f, *adagrad);
+    }
+
+    void stepDense(model::Dlrm& model) const
+    {
+        if (sgd != nullptr)
+            model.stepDense(*sgd);
+        else
+            model.stepDense(*adagrad);
+    }
+};
+
 double
 runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
              const graph::StepGraph& graph)
@@ -362,7 +385,7 @@ GraphExecutor::GraphExecutor(const graph::StepGraph& graph,
 void
 GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
                         const data::MiniBatch& batch, bool forward,
-                        uint64_t step) const
+                        uint64_t step, const Optimizer* opt) const
 {
     const graph::Node& node = graph_->nodes[node_index];
     // The span opens on the executing thread, so concurrent nodes land
@@ -411,11 +434,21 @@ GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
                 model.forwardEmbedding(
                     static_cast<std::size_t>(node.table), batch);
         } else {
-            if (!node.fused_tables.empty())
-                model.backwardEmbeddingGroup(node.fused_tables, batch);
-            else
-                model.backwardEmbedding(
-                    static_cast<std::size_t>(node.table), batch);
+            // In a training step each table's sparse update follows
+            // its own backward, while the table's gradient block is
+            // still in cache.
+            const auto backward = [&](int table) {
+                const auto f = static_cast<std::size_t>(table);
+                model.backwardEmbedding(f, batch);
+                if (opt != nullptr)
+                    opt->stepTable(model, f);
+            };
+            if (!node.fused_tables.empty()) {
+                for (int table : node.fused_tables)
+                    backward(table);
+            } else {
+                backward(node.table);
+            }
         }
         break;
       case graph::NodeKind::Interaction:
@@ -432,12 +465,13 @@ GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
 void
 GraphExecutor::runWave(const std::vector<std::size_t>& wave,
                        model::Dlrm& model, const data::MiniBatch& batch,
-                       bool forward, uint64_t step) const
+                       bool forward, uint64_t step,
+                       const Optimizer* opt) const
 {
     if (wave.empty())
         return;
     if (wave.size() == 1) {
-        dispatch(wave[0], model, batch, forward, step);
+        dispatch(wave[0], model, batch, forward, step, opt);
         return;
     }
     // Grain 1: one node per pool task. Each node writes only its own
@@ -447,7 +481,7 @@ GraphExecutor::runWave(const std::vector<std::size_t>& wave,
     pool_->parallelFor(
         0, wave.size(), 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t k = lo; k < hi; ++k)
-                dispatch(wave[k], model, batch, forward, step);
+                dispatch(wave[k], model, batch, forward, step, opt);
         });
 }
 
@@ -463,12 +497,12 @@ GraphExecutor::runForward(model::Dlrm& model,
         : 0;
     RECSIM_TRACE_SPAN("model.fwd");
     for (const auto& wave : fwd_waves_)
-        runWave(wave, model, batch, /*forward=*/true, step);
+        runWave(wave, model, batch, /*forward=*/true, step, nullptr);
 }
 
 double
-GraphExecutor::runStep(model::Dlrm& model,
-                       const data::MiniBatch& batch) const
+GraphExecutor::runWaves(model::Dlrm& model, const data::MiniBatch& batch,
+                        const Optimizer* opt) const
 {
     RECSIM_ASSERT(graph_->emb_dim == model.config().emb_dim &&
                   graph_->num_dense == model.config().num_dense,
@@ -481,18 +515,63 @@ GraphExecutor::runStep(model::Dlrm& model,
     {
         RECSIM_TRACE_SPAN("model.fwd");
         for (const auto& wave : fwd_waves_)
-            runWave(wave, model, batch, /*forward=*/true, step);
+            runWave(wave, model, batch, /*forward=*/true, step, nullptr);
     }
     {
         obs::TraceSpan span("loss");
         loss = model.lossBackward(batch);
     }
+    // The loss is known here, before any table changes.
     {
         RECSIM_TRACE_SPAN("model.bwd");
         for (const auto& wave : bwd_waves_)
-            runWave(wave, model, batch, /*forward=*/false, step);
+            runWave(wave, model, batch, /*forward=*/false, step, opt);
     }
     return loss;
+}
+
+double
+GraphExecutor::runStep(model::Dlrm& model,
+                       const data::MiniBatch& batch) const
+{
+    return runWaves(model, batch, nullptr);
+}
+
+double
+GraphExecutor::runTrainStep(model::Dlrm& model,
+                            const data::MiniBatch& batch,
+                            const Optimizer& opt) const
+{
+    double loss = 0.0;
+    {
+        RECSIM_TRACE_SPAN("train.fwd_bwd");
+        loss = runWaves(model, batch, &opt);
+    }
+    RECSIM_TRACE_SPAN("train.optimizer");
+    // The graph's OptimizerUpdate node, dense half only: the backward
+    // wave already updated every table.
+    RECSIM_TRACE_SPAN("optimizer");
+    opt.stepDense(model);
+    model.zeroGrad();
+    return loss;
+}
+
+double
+GraphExecutor::trainStep(model::Dlrm& model, const data::MiniBatch& batch,
+                         const nn::Sgd& opt) const
+{
+    return runTrainStep(model, batch, Optimizer{&opt, nullptr});
+}
+
+double
+GraphExecutor::trainStep(model::Dlrm& model, const data::MiniBatch& batch,
+                         nn::Adagrad& opt) const
+{
+    // Inserting an accumulator inside the wave would race on the
+    // optimizer's map, so every table gets its accumulator first.
+    for (const nn::EmbeddingBag& table : model.tables())
+        opt.reserveRowState(table);
+    return runTrainStep(model, batch, Optimizer{nullptr, &opt});
 }
 
 } // namespace train

@@ -31,7 +31,9 @@ namespace train {
  * visits the same primitives in an equivalent order. @p graph must be
  * built from the same DlrmConfig the model was instantiated with
  * (checked). Comm nodes are skipped — this is the single-process
- * trainer — and the OptimizerUpdate node is the caller's step().
+ * trainer — and the OptimizerUpdate node is the caller's step(). With
+ * model.step(opt) after it, this walk is the oracle the fused
+ * GraphExecutor::trainStep() is tested against.
  *
  * @return Mean BCE loss of the batch.
  */
@@ -46,16 +48,19 @@ double runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
  * model primitives) into forward *wavefronts*: wave k holds every node
  * whose longest dependency chain through executable nodes has length
  * k. Non-executable nodes (Loss runs between the halves, Optimizer is
- * the caller's step(), Comm has no local work) are skipped by taking
- * the transitive closure of their edges, so e.g. a bottom-MLP layer
- * gated on `comm.input` is simply ready at step start. The backward
- * half mirrors the waves over the reversed edges.
+ * applied after the waves, Comm has no local work) are skipped by
+ * taking the transitive closure of their edges, so e.g. a bottom-MLP
+ * layer gated on `comm.input` is simply ready at step start. The
+ * backward half mirrors the waves over the reversed edges.
  *
  * runStep() executes the waves in order, dispatching the nodes of one
  * wave concurrently on the thread pool — per-table EmbeddingBag
  * lookups, mixed-dimension projection GEMMs and bottom-MLP layers
  * overlap, which is where the paper's CPU iteration time goes
- * (Figs 9-11).
+ * (Figs 9-11). trainStep() runs the same waves and also applies the
+ * optimizer: each table's sparse update inside that table's backward
+ * node, so the updates of different tables overlap in the backward
+ * wave, then the dense update.
  *
  * Determinism: results are bit-identical to runGraphStep() at any
  * pool size. Wave membership depends only on the graph; every node
@@ -103,6 +108,31 @@ class GraphExecutor
                    const data::MiniBatch& batch) const;
 
     /**
+     * One whole training step: forward waves, loss, backward waves in
+     * which each table's row-wise sparse update runs right after that
+     * table's backward (a grouped lookup node updates each member
+     * after the member's own backward), then the dense update and
+     * zeroGrad(). The model afterwards is bit-identical to
+     * runStep() followed by model.step(opt) — and to the serial
+     * runGraphStep() walk plus step() — at any pool size: table f's
+     * update writes only table f and its accumulator, nothing later in
+     * the step reads either, and each row sees the same ops in the
+     * same order. Adagrad accumulators are created serially before the
+     * first wave, so the concurrent updates only look theirs up; each
+     * embedding backend instance still runs on one thread at a time.
+     *
+     * Obs: the same spans as runStep(), each "emb.t*" node span and
+     * recorder sample now including that table's update, followed by
+     * "train.optimizer" > "optimizer" around the dense update.
+     *
+     * @return Mean BCE loss of the batch.
+     */
+    double trainStep(model::Dlrm& model, const data::MiniBatch& batch,
+                     const nn::Sgd& opt) const;
+    double trainStep(model::Dlrm& model, const data::MiniBatch& batch,
+                     nn::Adagrad& opt) const;
+
+    /**
      * Forward pass only: the forward waves dispatched in parallel, no
      * loss and no backward — the serving path (serve/engine.h). The
      * model's logits afterwards are bit-identical to
@@ -128,12 +158,23 @@ class GraphExecutor
     }
 
   private:
+    /** The optimizer trainStep() applies (file-local definition). */
+    struct Optimizer;
+
+    /** Forward, loss and backward waves; with @p opt, each table's
+     *  sparse update runs inside its backward node. */
+    double runWaves(model::Dlrm& model, const data::MiniBatch& batch,
+                    const Optimizer* opt) const;
+    double runTrainStep(model::Dlrm& model,
+                        const data::MiniBatch& batch,
+                        const Optimizer& opt) const;
     void runWave(const std::vector<std::size_t>& wave,
                  model::Dlrm& model, const data::MiniBatch& batch,
-                 bool forward, uint64_t step) const;
+                 bool forward, uint64_t step,
+                 const Optimizer* opt) const;
     void dispatch(std::size_t node_index, model::Dlrm& model,
                   const data::MiniBatch& batch, bool forward,
-                  uint64_t step) const;
+                  uint64_t step, const Optimizer* opt) const;
 
     const graph::StepGraph* graph_;
     util::ThreadPool* pool_;

@@ -71,9 +71,10 @@ trainSingleThread(const model::DlrmConfig& model_config,
             config.hot_tier_bytes, config.hot_tier_refresh_every);
     // The same per-step operator graph the cost model and the DES
     // consume drives the real training loop (train/step_runner.h).
-    // The executor dispatches independent nodes (per-table lookups,
-    // projections, bottom MLP) concurrently; results are bit-identical
-    // to the serial runGraphStep() walk at any RECSIM_THREADS.
+    // The executor dispatches independent nodes (per-table lookups
+    // with their sparse updates, projections, bottom MLP)
+    // concurrently; results are bit-identical to the serial
+    // runGraphStep() walk plus Dlrm::step() at any RECSIM_THREADS.
     graph::StepGraph graph = graph::buildModelStepGraph(model_config);
     if (config.fuse_graph)
         graph::fusePass(graph);
@@ -110,19 +111,11 @@ trainSingleThread(const model::DlrmConfig& model_config,
                 batch = dataset.epochBatch(it * config.batch_size,
                                            config.batch_size);
             }
-            {
-                RECSIM_TRACE_SPAN("train.fwd_bwd");
-                loss = executor.runStep(model, batch);
-            }
-            {
-                RECSIM_TRACE_SPAN("train.optimizer");
-                // The graph's OptimizerUpdate node closes the step.
-                RECSIM_TRACE_SPAN("optimizer");
-                if (config.optimizer == OptimizerKind::Sgd)
-                    model.step(sgd);
-                else
-                    model.step(adagrad);
-            }
+            // Opens the "train.fwd_bwd" and "train.optimizer" spans.
+            if (config.optimizer == OptimizerKind::Sgd)
+                loss = executor.trainStep(model, batch, sgd);
+            else
+                loss = executor.trainStep(model, batch, adagrad);
             auto& metrics = obs::MetricsRegistry::global();
             metrics.incr("train.iterations");
             const double iter_s = static_cast<double>(

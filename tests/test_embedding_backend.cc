@@ -265,12 +265,38 @@ expectBitwiseEqual(const RunFingerprint& a, const RunFingerprint& b,
         << what << " table parameters differ";
 }
 
+/**
+ * Edge inputs for the gather and update kernels' row prefetch: a
+ * 1-row table; rows of 4, 20 and 48 floats, which are not whole cache
+ * lines; and lists long enough (40 lookups of 48 or 60 of 20 floats)
+ * that a 64-example batch splits into two forward chunks, so the
+ * look-ahead runs into the end of a chunk and of the batch. The 1-row
+ * table's gradient has fewer rows than the look-ahead distance.
+ */
+model::DlrmConfig
+prefetchEdgeConfig()
+{
+    auto cfg = model::DlrmConfig::tinyReplica(4, 8, 600, 48);
+    cfg.name = "prefetch_edges";
+    cfg.sparse[0].hash_size = 1;
+    cfg.sparse[1].dim_override = 20;
+    cfg.sparse[1].mean_length = 60.0;
+    cfg.sparse[1].truncation = 96;
+    cfg.sparse[2].dim_override = 4;
+    cfg.sparse[2].mean_length = 1.0;
+    cfg.sparse[3].hash_size = 5000;
+    cfg.sparse[3].mean_length = 40.0;
+    cfg.sparse[3].truncation = 64;
+    return cfg;
+}
+
 TEST(BackendEquivalence, ModelZooBitwiseAcrossThreadsAndOptimizers)
 {
     PoolSizeGuard guard;
     const std::vector<model::DlrmConfig> zoo = {
         model::DlrmConfig::testSuite(16, 4, 5000, 32, 2, 4.0, 0),
         model::DlrmConfig::tinyReplica(4, 8, 600, 8),
+        prefetchEdgeConfig(),
     };
     for (const auto& cfg : zoo) {
         for (const bool adagrad : {false, true}) {

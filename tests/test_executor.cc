@@ -4,7 +4,8 @@
  * its wavefront schedule must cover every executable node exactly once,
  * and a training run through it must stay bitwise-identical to the
  * serial runGraphStep walk at every thread-pool size — losses per step
- * and final dense parameters alike. The equivalence is the whole
+ * and final dense parameters alike, and for trainStep(), which updates
+ * each table inside the backward wave, every table and accumulator. The equivalence is the whole
  * contract: inter-op parallelism is only admissible because it cannot
  * change a single bit of the result.
  */
@@ -18,6 +19,7 @@
 #include "data/dataset.h"
 #include "graph/step_graph.h"
 #include "model/dlrm.h"
+#include "nn/embedding_backend.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -243,6 +245,139 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
             pool.resize(1);
         }
     }
+}
+
+/** memcmp of two float arrays of equal length. */
+bool
+bitwiseEqual(const float* a, const float* b, std::size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/**
+ * Every piece of state a training step writes must match: losses,
+ * dense parameters, embedding tables, Adagrad's dense and row
+ * accumulators, and each table backend's tier accounting.
+ */
+void
+expectTrainedStateBitwiseEqual(model::Dlrm& a, model::Dlrm& b,
+                               const nn::Adagrad* ada_a,
+                               const nn::Adagrad* ada_b,
+                               const std::string& context)
+{
+    expectParamsBitwiseEqual(a, b, context);
+    ASSERT_EQ(a.tables().size(), b.tables().size()) << context;
+    for (std::size_t f = 0; f < a.tables().size(); ++f) {
+        const nn::EmbeddingBag& ta = a.tables()[f];
+        const nn::EmbeddingBag& tb = b.tables()[f];
+        ASSERT_EQ(ta.table.size(), tb.table.size()) << context;
+        EXPECT_TRUE(bitwiseEqual(ta.table.data(), tb.table.data(),
+                                 ta.table.size()))
+            << context << " table " << f;
+        const nn::EmbeddingTierStats sa = ta.backend().stats();
+        const nn::EmbeddingTierStats sb = tb.backend().stats();
+        EXPECT_EQ(sa.hot_lookups, sb.hot_lookups) << context << " " << f;
+        EXPECT_EQ(sa.cold_lookups, sb.cold_lookups) << context;
+        EXPECT_EQ(sa.hot_read_bytes, sb.hot_read_bytes) << context;
+        EXPECT_EQ(sa.cold_read_bytes, sb.cold_read_bytes) << context;
+        EXPECT_EQ(sa.hot_write_bytes, sb.hot_write_bytes)
+            << context << " table " << f;
+        EXPECT_EQ(sa.cold_write_bytes, sb.cold_write_bytes)
+            << context << " table " << f;
+        EXPECT_EQ(sa.batches, sb.batches) << context;
+        if (ada_a != nullptr) {
+            const auto ra = ada_a->rowState(ta);
+            const auto rb = ada_b->rowState(tb);
+            ASSERT_EQ(ra.size(), ta.hashSize()) << context;
+            ASSERT_EQ(ra.size(), rb.size()) << context;
+            EXPECT_TRUE(bitwiseEqual(ra.data(), rb.data(), ra.size()))
+                << context << " row accumulator " << f;
+        }
+    }
+    if (ada_a != nullptr) {
+        const auto pa = a.denseParams();
+        const auto pb = b.denseParams();
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+            const auto da = ada_a->denseState(*pa[i]);
+            const auto db = ada_b->denseState(*pb[i]);
+            ASSERT_EQ(da.size(), pa[i]->size()) << context;
+            ASSERT_EQ(da.size(), db.size()) << context;
+            EXPECT_TRUE(bitwiseEqual(da.data(), db.data(), da.size()))
+                << context << " dense accumulator " << i;
+        }
+    }
+}
+
+TEST(GraphExecutor, TrainStepBitwiseEqualToSerialWalkPlusStep)
+{
+    // trainStep() applies each table's sparse update inside that
+    // table's backward node, concurrently across tables, and the dense
+    // update after the waves. The oracle is the unfused serial walk
+    // followed by Dlrm::step(): every table, accumulator, dense
+    // parameter and tier counter must carry its exact bits, for both
+    // optimizers, fused and unfused graphs, both backends, at every
+    // pool size.
+    auto& pool = util::globalThreadPool();
+    constexpr std::size_t kSteps = 4;
+    for (const auto& cfg : modelZoo()) {
+        const auto unfused = graph::buildModelStepGraph(cfg);
+        auto fused = graph::buildModelStepGraph(cfg);
+        graph::fusePass(fused);
+        for (const bool fuse : {false, true}) {
+            const GraphExecutor executor(fuse ? fused : unfused);
+            for (const bool adagrad : {false, true}) {
+                for (const bool cached : {false, true}) {
+                    for (const std::size_t threads : {1u, 2u, 8u}) {
+                        pool.resize(threads);
+                        const std::string context = cfg.name +
+                            (fuse ? " fused" : " unfused") +
+                            (adagrad ? " adagrad" : " sgd") +
+                            (cached ? " cached" : " dram") + " @" +
+                            std::to_string(threads) + "t";
+                        model::Dlrm oracle(cfg, 3);
+                        model::Dlrm trained(cfg, 3);
+                        if (cached) {
+                            // A mixed hot/cold split with mid-run
+                            // refreshes, as in the backend suite.
+                            const double budget =
+                                0.3 * 1.25 * cfg.embeddingBytes();
+                            oracle.installCachedEmbeddingBackends(
+                                budget, 2);
+                            trained.installCachedEmbeddingBackends(
+                                budget, 2);
+                        }
+                        const nn::Sgd sgd(0.05f);
+                        nn::Adagrad ada_oracle(0.05f);
+                        nn::Adagrad ada_trained(0.05f);
+                        data::SyntheticCtrDataset ds(datasetFor(cfg));
+                        for (std::size_t step = 0; step < kSteps;
+                             ++step) {
+                            const auto batch = ds.nextBatch(32);
+                            const double a =
+                                runGraphStep(oracle, batch, unfused);
+                            double b = 0.0;
+                            if (adagrad) {
+                                oracle.step(ada_oracle);
+                                b = executor.trainStep(trained, batch,
+                                                       ada_trained);
+                            } else {
+                                oracle.step(sgd);
+                                b = executor.trainStep(trained, batch,
+                                                       sgd);
+                            }
+                            EXPECT_TRUE(bitwiseEqual(a, b))
+                                << context << " step " << step;
+                        }
+                        expectTrainedStateBitwiseEqual(
+                            oracle, trained,
+                            adagrad ? &ada_oracle : nullptr,
+                            adagrad ? &ada_trained : nullptr, context);
+                    }
+                }
+            }
+        }
+    }
+    pool.resize(1);
 }
 
 TEST(GraphExecutor, BoundGraphSchedulesLikeComputeSkeleton)
