@@ -8,11 +8,14 @@
  */
 #pragma once
 
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "obs/trace.h"
+#include "tensor/simd.h"
 #include "util/string_utils.h"
 
 namespace recsim {
@@ -70,6 +73,54 @@ class TraceSession
     std::string path_;
     std::unique_ptr<obs::TraceSpan> top_span_;
 };
+
+/** The CPU's "model name" from /proc/cpuinfo, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        const auto start = line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+    return "unknown";
+}
+
+/** @p text as a JSON string literal (quotes and backslashes escaped). */
+inline std::string
+jsonString(const std::string& text)
+{
+    std::string quoted = "\"";
+    for (const char c : text) {
+        if (c == '"' || c == '\\')
+            quoted += '\\';
+        quoted += c;
+    }
+    return quoted + "\"";
+}
+
+/**
+ * Write the `"host"` member of a BENCH_*.json object, with a trailing
+ * comma: the host that produced the numbers — cores, pool size, SIMD
+ * tier (tensor::simd::activeKernels()), CPU model, build type and the
+ * commit CMake was configured at ("unknown" outside a git checkout).
+ * The same fields as perfbench's host block.
+ */
+inline void
+writeHostJson(std::ostream& out, std::size_t pool_threads)
+{
+    out << "  \"host\": {\"cores\": "
+        << std::thread::hardware_concurrency()
+        << ", \"pool\": " << pool_threads << ", \"simd\": "
+        << jsonString(tensor::simd::activeKernels())
+        << ", \"cpu\": " << jsonString(cpuModel())
+        << ", \"build\": " << jsonString(RECSIM_BUILD_TYPE)
+        << ", \"commit\": " << jsonString(RECSIM_COMMIT) << "},\n";
+}
 
 /** Print the standard bench banner. */
 inline void

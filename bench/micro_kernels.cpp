@@ -421,6 +421,7 @@ main(int argc, char** argv)
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     out << "  \"simd_kernels\": \"" << tensor::simd::activeKernels()
         << "\",\n";
+    bench::writeHostJson(out, threads);
     out << "  \"kernels\": [\n";
     for (std::size_t i = 0; i < h.results.size(); ++i) {
         const auto& r = h.results[i];

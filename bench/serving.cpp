@@ -261,6 +261,7 @@ main(int argc, char** argv)
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
+    bench::writeHostJson(out, util::configuredThreads());
     out << "  \"queries_per_point\": " << queries_per_point << ",\n";
     out << "  \"models\": [\n";
     for (std::size_t m = 0; m < results.size(); ++m) {

@@ -369,6 +369,7 @@ main(int argc, char** argv)
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
+    bench::writeHostJson(out, util::configuredThreads());
     out << "  \"graph_nodes\": " << graph.numNodes() << ",\n";
     out << "  \"forward_wave_widths\": [";
     for (std::size_t i = 0; i < executor.forwardWaves().size(); ++i) {

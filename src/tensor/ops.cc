@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "tensor/simd.h"
@@ -39,7 +41,8 @@ requireRank2(const Tensor& t, const char* what)
  * is fetched into L2 once and reused by all of the tile's rows; a DLRM
  * layer's whole weight (2-4 MiB) would not stay in a 2 MiB L2. Inside
  * a tile, k is swept in kKc-deep panels, and the register tiles re-read
- * a panel's B block (64 KiB at 128 columns) once per 6 rows.
+ * a panel's B block (64 KiB at 128 columns) once per 6 rows (AVX2) or
+ * 12 rows (AVX-512).
  * Fixed constants, not tuned per shape: tiling only changes *which*
  * terms are in cache and which thread computes an element, never the
  * order terms are added per output element (the fma fold documented
@@ -66,7 +69,11 @@ rowGrain(std::size_t work_per_row)
         1, kMinWorkPerChunk / std::max<std::size_t>(work_per_row, 1));
 }
 
-/** Register-tile shape of the AVX2 microkernel: 6 rows x 16 cols. */
+/**
+ * Register-tile shape of the AVX2 microkernel: 6 rows x 16 cols. Tile
+ * geometry (tileGrid) rounds to it at every tier, so a shape is cut
+ * into the same tiles whichever block kernel runs inside them.
+ */
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
 
@@ -85,7 +92,7 @@ ceilDiv(std::size_t a, std::size_t b)
  * a block may sit inside the caller's matrix or in a tile's scratch
  * copy of it.
  *
- * Accumulation-order contract (shared with the AVX2 kernel): per
+ * Accumulation-order contract (shared with the vector kernels): per
  * output element the accumulator starts from the value in od, adds
  * terms in increasing p, each as one fused multiply-add (std::fma here
  * == vfmadd there: both correctly rounded), and stores once per
@@ -302,6 +309,162 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
     }
 }
 
+/**
+ * Rows of the zmm register tile. A row block is cut into kZmmRows-row
+ * tiles and, when kZmmRows does not divide it, one tile of the 1 ..
+ * kZmmRows - 1 rows left, each row count its own instantiation.
+ */
+constexpr std::size_t kZmmRows = 12;
+
+/**
+ * One zmm register tile of the AVX-512 GEMM block: R rows x V 16-float
+ * vectors of output columns (R * V accumulators, up to 12 x 2), over
+ * one pk-deep k-panel. @p ab and @p brow point at the tile's first A
+ * row and first B column; @p obase (and @p mbase, if non-null) at its
+ * first output (mask) element. Only the lanes in @p tail of the last
+ * vector are loaded or stored — masked, so the tile never touches a
+ * column past the block and needs no narrower column path. The
+ * epilogues run the AVX2 kernel's ops lane for lane: add bias (when
+ * @p bias is non-null), max with +0 (if @p relu), and a > 0 compare of
+ * the mask that keeps the accumulator's bits or stores +0.0f.
+ */
+template <std::size_t R, std::size_t V>
+__attribute__((target("avx512f"), always_inline)) inline void
+zmmTile(const float* RECSIM_RESTRICT ab, std::size_t a_rs,
+        std::size_t a_cs, const float* RECSIM_RESTRICT brow,
+        std::size_t ldb, float* RECSIM_RESTRICT obase, std::size_t n,
+        const float* RECSIM_RESTRICT mbase,
+        const float* RECSIM_RESTRICT bias, bool relu, std::size_t pk,
+        __mmask16 tail)
+{
+    __mmask16 lanes[V];
+    for (std::size_t v = 0; v < V; ++v)
+        lanes[v] = v + 1 < V ? __mmask16(0xFFFF) : tail;
+    const __m512 zero = _mm512_setzero_ps();
+    __m512 acc[R][V];
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t v = 0; v < V; ++v)
+            acc[r][v] =
+                _mm512_maskz_loadu_ps(lanes[v], obase + r * n + 16 * v);
+    for (std::size_t p = 0; p < pk; ++p) {
+        __m512 b[V];
+        for (std::size_t v = 0; v < V; ++v)
+            b[v] = _mm512_maskz_loadu_ps(lanes[v],
+                                         brow + p * ldb + 16 * v);
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(ab[r * a_rs + p * a_cs]);
+            for (std::size_t v = 0; v < V; ++v)
+                acc[r][v] = _mm512_fmadd_ps(av, b[v], acc[r][v]);
+        }
+    }
+    if (bias != nullptr) {
+        for (std::size_t v = 0; v < V; ++v) {
+            const __m512 bv =
+                _mm512_maskz_loadu_ps(lanes[v], bias + 16 * v);
+            for (std::size_t r = 0; r < R; ++r) {
+                acc[r][v] = _mm512_add_ps(acc[r][v], bv);
+                // maskz form: GCC 12's _mm512_max_ps passes an
+                // undefined source that -Wmaybe-uninitialized flags.
+                if (relu)
+                    acc[r][v] =
+                        _mm512_maskz_max_ps(lanes[v], acc[r][v], zero);
+            }
+        }
+    }
+    if (mbase != nullptr) {
+        for (std::size_t r = 0; r < R; ++r)
+            for (std::size_t v = 0; v < V; ++v)
+                acc[r][v] = _mm512_maskz_mov_ps(
+                    _mm512_cmp_ps_mask(
+                        _mm512_maskz_loadu_ps(lanes[v],
+                                              mbase + r * n + 16 * v),
+                        zero, _CMP_GT_OQ),
+                    acc[r][v]);
+    }
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t v = 0; v < V; ++v)
+            _mm512_mask_storeu_ps(obase + r * n + 16 * v, lanes[v],
+                                  acc[r][v]);
+}
+
+/** The lanes of a 16-float vector that hold @p width (>= 1) columns. */
+inline __mmask16
+tailLanes(std::size_t width)
+{
+    return width >= 16 ? __mmask16(0xFFFF)
+                       : static_cast<__mmask16>((1u << width) - 1);
+}
+
+/**
+ * R rows x all @p jn columns of an AVX-512 GEMM block: 32-column tiles
+ * while more than 16 columns are left (the second vector masked to
+ * what is left), then one masked 16-column tile. Arguments as in
+ * zmmTile, positioned at the block's first column; @p bias and
+ * @p mbase are null when their epilogue does not run on this panel.
+ */
+template <std::size_t R>
+__attribute__((target("avx512f"))) void
+zmmRows(const float* RECSIM_RESTRICT ab, std::size_t a_rs,
+        std::size_t a_cs, const float* RECSIM_RESTRICT bpan,
+        std::size_t ldb, float* RECSIM_RESTRICT obase, std::size_t n,
+        const float* RECSIM_RESTRICT mbase,
+        const float* RECSIM_RESTRICT bias, bool relu, std::size_t jn,
+        std::size_t pk)
+{
+    std::size_t jt = 0;
+    for (; jt + 16 < jn; jt += 32)
+        zmmTile<R, 2>(ab, a_rs, a_cs, bpan + jt, ldb, obase + jt, n,
+                      mbase != nullptr ? mbase + jt : nullptr,
+                      bias != nullptr ? bias + jt : nullptr, relu, pk,
+                      tailLanes(jn - jt - 16));
+    if (jt < jn)
+        zmmTile<R, 1>(ab, a_rs, a_cs, bpan + jt, ldb, obase + jt, n,
+                      mbase != nullptr ? mbase + jt : nullptr,
+                      bias != nullptr ? bias + jt : nullptr, relu, pk,
+                      tailLanes(jn - jt));
+}
+
+using ZmmRowsFn = decltype(&zmmRows<1>);
+
+/** zmmRows<1> .. zmmRows<kZmmRows - 1>, indexed by rows - 1. */
+template <std::size_t... R>
+constexpr std::array<ZmmRowsFn, sizeof...(R)>
+zmmRowTails(std::index_sequence<R...>)
+{
+    return {&zmmRows<R + 1>...};
+}
+
+constexpr auto kZmmRowTails =
+    zmmRowTails(std::make_index_sequence<kZmmRows - 1>());
+
+/**
+ * AVX-512F GEMM block: kZmmRows x 32 zmm register tiles (24
+ * accumulators, two b loads shared across the 12 rows per k step) over
+ * the same cache block as gemmBlockScalar, with compile-time row tails
+ * and masked column tails. Same arguments and the same per-element
+ * contract as gemmBlockScalar and gemmBlockAvx2, so the three are
+ * bitwise interchangeable.
+ */
+__attribute__((target("avx512f"))) void
+gemmBlockAvx512(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
+                std::size_t a_cs, const float* RECSIM_RESTRICT bpan,
+                std::size_t ldb, float* RECSIM_RESTRICT od, std::size_t n,
+                std::size_t i0, std::size_t i1, std::size_t jj,
+                std::size_t jn, std::size_t pk, bool last,
+                const float* RECSIM_RESTRICT bias, bool relu,
+                const float* RECSIM_RESTRICT mask)
+{
+    const float* ebias = bias != nullptr && last ? bias + jj : nullptr;
+    const bool masked = mask != nullptr && last;
+    for (std::size_t i = i0; i < i1; i += kZmmRows) {
+        const ZmmRowsFn rows = i + kZmmRows <= i1
+            ? &zmmRows<kZmmRows> : kZmmRowTails[i1 - i - 1];
+        rows(apan + (i - i0) * a_rs, a_rs, a_cs, bpan, ldb,
+             od + i * n + jj, n, masked ? mask + i * n + jj : nullptr,
+             ebias, relu, jn, pk);
+    }
+}
+
 #endif // RECSIM_SIMD_X86
 
 #if defined(RECSIM_SIMD_X86)
@@ -378,7 +541,7 @@ colSumPanel(const float* RECSIM_RESTRICT xd, float* RECSIM_RESTRICT od,
             std::size_t j1)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (simd::enabled()) {
+    if (simd::activeTier() != simd::Tier::Scalar) {
         sumRowsAvx2(xd, od, rows, cols, j0, j1);
         return;
     }
@@ -538,6 +701,25 @@ struct GemmArgs
     float* col_sum = nullptr;
 };
 
+/** A GEMM block kernel: gemmBlockScalar, gemmBlockAvx2 or ...Avx512. */
+using GemmBlockFn = decltype(&gemmBlockScalar);
+
+/** The GEMM block kernel of the active SIMD tier. */
+GemmBlockFn
+gemmBlockKernel()
+{
+    switch (simd::activeTier()) {
+#if defined(RECSIM_SIMD_X86)
+    case simd::Tier::Avx512:
+        return gemmBlockAvx512;
+    case simd::Tier::Avx2:
+        return gemmBlockAvx2;
+#endif
+    default:
+        return gemmBlockScalar;
+    }
+}
+
 /**
  * Compute the output tile rows [i0, i1) x columns [jj, jj + jn) of
  * @p g, one kKc-deep k-panel at a time. The tile copies the blocks of a
@@ -557,6 +739,7 @@ void
 gemmTile(const GemmArgs& g, std::size_t i0, std::size_t i1,
          std::size_t jj, std::size_t jn)
 {
+    const GemmBlockFn block = gemmBlockKernel();
     const std::size_t a_rs = g.a_trans ? 1 : g.k;
     const std::size_t a_cs = g.a_trans ? scratchStride(i1 - i0) : 1;
     const std::size_t ldb = g.b_trans ? scratchStride(jn) : g.n;
@@ -571,15 +754,8 @@ gemmTile(const GemmArgs& g, std::size_t i0, std::size_t i1,
         const float* bpan = g.b_trans
             ? transposeBBlock(g.b, g.k, jj, jn, pp, pk, ldb)
             : g.b + pp * g.n + jj;
-#if defined(RECSIM_SIMD_X86)
-        if (simd::enabled()) {
-            gemmBlockAvx2(apan, a_rs, a_cs, bpan, ldb, g.out, g.n, i0, i1,
-                          jj, jn, pk, last, g.bias, g.relu, g.mask);
-            continue;
-        }
-#endif
-        gemmBlockScalar(apan, a_rs, a_cs, bpan, ldb, g.out, g.n, i0, i1,
-                        jj, jn, pk, last, g.bias, g.relu, g.mask);
+        block(apan, a_rs, a_cs, bpan, ldb, g.out, g.n, i0, i1, jj, jn, pk,
+              last, g.bias, g.relu, g.mask);
     }
 }
 

@@ -16,9 +16,10 @@ namespace tensor {
 
 /**
  * out = a (*) b for rank-2 tensors: [m, k] x [k, n] -> [m, n].
- * @p out is resized/overwritten. Cache-blocked with register-blocked
- * AVX2/FMA microkernels inside the blocks (scalar std::fma fallback
- * when the CPU lacks AVX2 or RECSIM_NO_SIMD=1; see simd.h).
+ * @p out is resized/overwritten. Cache-blocked, with the register-
+ * blocked microkernel of the active SIMD tier inside the blocks: AVX-512
+ * (zmm), AVX2/FMA or the scalar std::fma fallback (RECSIM_SIMD caps the
+ * tier; see simd.h).
  *
  * Accumulation-order contract (all matmul variants): each output
  * element starts from the value already in @p out (zero here, since
@@ -126,8 +127,7 @@ void reluBackward(const Tensor& y, const Tensor& dy, Tensor& dx);
 /**
  * Logistic sigmoid in place, via the vectorized fast exp (simd.h):
  * within 1e-6 relative of the libm-exact value, overflow-safe for any
- * finite input, and bit-identical across thread counts and between
- * the AVX2 and scalar dispatch paths.
+ * finite input, and bit-identical across thread counts and SIMD tiers.
  */
 void sigmoidInPlace(Tensor& x);
 

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/logging.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #  define RECSIM_SIMD_X86 1
 #  include <immintrin.h>
@@ -197,42 +199,73 @@ sgdSpanAvx2(float* p, const float* g, std::size_t n, float lr)
 
 #endif // RECSIM_SIMD_X86
 
-bool
-computeEnabled()
-{
-    if (!available())
-        return false;
-    const char* env = std::getenv("RECSIM_NO_SIMD");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0'))
-        return false;
-    return true;
-}
-
 } // namespace
 
-bool
-available()
+const char*
+tierName(Tier tier)
+{
+    switch (tier) {
+    case Tier::Avx512:
+        return "avx512";
+    case Tier::Avx2:
+        return "avx2";
+    case Tier::Scalar:
+        break;
+    }
+    return "scalar";
+}
+
+Tier
+supportedTier()
 {
 #if defined(RECSIM_SIMD_X86)
-    return __builtin_cpu_supports("avx2") &&
-        __builtin_cpu_supports("fma");
+    // Also runs from a static initializer (kTierAtStartup below), where
+    // GCC asks for an explicit init before the feature checks.
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+        return Tier::Scalar;
+    return __builtin_cpu_supports("avx512f") ? Tier::Avx512 : Tier::Avx2;
 #else
-    return false;
+    return Tier::Scalar;
 #endif
 }
 
-bool
-enabled()
+Tier
+configuredTier()
 {
-    static const bool cached = computeEnabled();
+    const char* env = std::getenv("RECSIM_SIMD");
+    if (env == nullptr || env[0] == '\0')
+        return supportedTier();
+    for (const Tier tier : {Tier::Scalar, Tier::Avx2, Tier::Avx512})
+        if (std::strcmp(env, tierName(tier)) == 0)
+            return std::min(tier, supportedTier());
+    util::fatal("RECSIM_SIMD={} is not a SIMD tier; use scalar, avx2 or "
+                "avx512", env);
+}
+
+Tier
+activeTier()
+{
+    static const Tier cached = configuredTier();
     return cached;
 }
+
+namespace {
+
+/**
+ * Resolves the tier during static initialization, before main() and
+ * any pool worker: a bad RECSIM_SIMD then fails at startup, not inside
+ * a kernel, where exit() would wait on the workers still blocked on
+ * the first activeTier() call.
+ */
+[[maybe_unused]] const Tier kTierAtStartup = activeTier();
+
+} // namespace
 
 const char*
 activeKernels()
 {
-    return enabled() ? "avx2-fma" : "scalar";
+    return tierName(activeTier());
 }
 
 float
@@ -251,7 +284,7 @@ void
 sigmoidSpan(float* x, std::size_t n)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (activeTier() != Tier::Scalar) {
         sigmoidSpanAvx2(x, n);
         return;
     }
@@ -264,7 +297,7 @@ void
 reluMaskSpan(const float* y, const float* dy, float* dx, std::size_t n)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (activeTier() != Tier::Scalar) {
         reluMaskSpanAvx2(y, dy, dx, n);
         return;
     }
@@ -278,7 +311,7 @@ adagradSpan(float* p, float* acc, const float* g, std::size_t n,
             float lr, float eps)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (activeTier() != Tier::Scalar) {
         adagradSpanAvx2(p, acc, g, n, lr, eps);
         return;
     }
@@ -290,7 +323,7 @@ void
 sgdSpan(float* p, const float* g, std::size_t n, float lr)
 {
 #if defined(RECSIM_SIMD_X86)
-    if (enabled()) {
+    if (activeTier() != Tier::Scalar) {
         sgdSpanAvx2(p, g, n, lr);
         return;
     }

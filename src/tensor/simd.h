@@ -4,15 +4,21 @@
  * the tensor kernels (ops.cc).
  *
  * Dispatch contract: the library is compiled for the baseline ISA; the
- * AVX2/FMA kernels are per-function `target("avx2,fma")` specializations
- * selected once at startup with `__builtin_cpu_supports`. Setting
- * RECSIM_NO_SIMD=1 in the environment (read once, before first use)
- * forces the scalar fallbacks — the sanitizer matrix exercises that
- * path. Every kernel pair (scalar, AVX2) computes bit-identical
- * results: the scalar fallbacks use std::fma where the vector code uses
- * vfmadd, and both share the per-element operation order documented on
- * each kernel, so switching paths — like switching thread counts —
- * never changes a single bit.
+ * vector kernels are per-function `target(...)` specializations. One
+ * tier is chosen once, at first use, and every dispatch site reads it:
+ *  - scalar: the portable loops;
+ *  - avx2:   AVX2/FMA kernels for the GEMM core and every span kernel;
+ *  - avx512: an AVX-512F (zmm) GEMM register tile; the span kernels
+ *            (sigmoid, ReLU mask, dense Adagrad/SGD) and the column
+ *            sums keep their AVX2 versions at this tier.
+ * The tier is the highest the CPU supports (`__builtin_cpu_supports`),
+ * capped by RECSIM_SIMD=scalar|avx2|avx512 when that is set (see
+ * configuredTier()); CI runs the suite under each cap. Every kernel
+ * computes bit-identical results at every tier: the scalar fallbacks
+ * use std::fma where the vector code uses vfmadd, and all paths share
+ * the per-element operation order documented on each kernel, so
+ * switching tiers — like switching thread counts — never changes a
+ * single bit.
  *
  * Fast exp: a Cephes-style degree-5 polynomial after base-2 range
  * reduction, max relative error <= 1e-6 against libm over the clamped
@@ -29,21 +35,39 @@ namespace recsim {
 namespace tensor {
 namespace simd {
 
-/** True when AVX2+FMA kernels are compiled in and the CPU has them. */
-bool available();
+/** The kernel tiers, lowest first; each runs on a superset of the ISA
+ *  of the one below it. */
+enum class Tier { Scalar, Avx2, Avx512 };
 
 /**
- * True when the AVX2 kernels are actually dispatched to: available()
- * and RECSIM_NO_SIMD is unset/empty/"0". Cached after the first call.
+ * The tier's one spelling — "scalar", "avx2" or "avx512" — shared by
+ * RECSIM_SIMD, activeKernels() and the host blocks of the benchmarks.
  */
-bool enabled();
+const char* tierName(Tier tier);
 
-/** "avx2-fma" or "scalar"; what enabled() resolves to. */
+/**
+ * The highest tier this build and CPU run: avx512 needs avx512f (plus
+ * avx2 and fma for the span kernels), avx2 needs avx2 and fma.
+ */
+Tier supportedTier();
+
+/**
+ * The tier RECSIM_SIMD asks for, capped at supportedTier(). Unset or
+ * empty means supportedTier(); a value other than the three tier names
+ * is a fatal() error. Reads the environment on every call (tests
+ * setenv() and call it); dispatch goes through activeTier().
+ */
+Tier configuredTier();
+
+/** configuredTier() at first use, cached: the tier every kernel runs. */
+Tier activeTier();
+
+/** tierName(activeTier()). */
 const char* activeKernels();
 
 /**
  * Scalar reference fast exp — the exact per-lane arithmetic of the
- * AVX2 path (same fma sequence, same rounding trick), used by the
+ * vector path (same fma sequence, same rounding trick), used by the
  * scalar fallbacks and by tail elements of vector loops.
  */
 float fastExpScalar(float x);

@@ -1,7 +1,10 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "util/logging.h"
@@ -222,13 +225,19 @@ ThreadPool::stats() const
 std::size_t
 configuredThreads()
 {
-    if (const char* env = std::getenv("RECSIM_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return static_cast<std::size_t>(n);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+    const unsigned hw_raw = std::thread::hardware_concurrency();
+    const std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
+    const char* env = std::getenv("RECSIM_THREADS");
+    if (env == nullptr || env[0] == '\0')
+        return hw;
+    const std::size_t bound = std::max(kMaxThreadsFloor, hw);
+    const char* end = env + std::strlen(env);
+    std::size_t n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec != std::errc() || ptr != end || n < 1 || n > bound)
+        fatal("RECSIM_THREADS={} is not a whole number in [1, {}]", env,
+              bound);
+    return n;
 }
 
 ThreadPool&

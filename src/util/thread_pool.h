@@ -162,8 +162,19 @@ class ThreadPool
 ThreadPool& globalThreadPool();
 
 /**
+ * Floor of the largest accepted RECSIM_THREADS: the bound is
+ * max(kMaxThreadsFloor, hardware_concurrency), so a typo cannot make
+ * the first globalThreadPool() call spawn thousands of workers.
+ */
+constexpr std::size_t kMaxThreadsFloor = 256;
+
+/**
  * The thread count globalThreadPool() will be (or was) created with:
- * RECSIM_THREADS if set and >= 1, else hardware_concurrency.
+ * RECSIM_THREADS, a whole number in [1, max(kMaxThreadsFloor,
+ * hardware_concurrency)]; unset or empty means hardware_concurrency.
+ * Any other value (a sign, a suffix, spaces, 0, out of range) is a
+ * fatal() error naming the accepted range. Reads the environment on
+ * every call.
  */
 std::size_t configuredThreads();
 

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,6 +14,7 @@
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
+#include "scoped_env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -409,6 +411,38 @@ TEST(Simd, SigmoidVectorLaneMatchesScalarTail)
     }
 }
 
+TEST(Simd, ConfiguredTierReadsEachSpellingCappedAtTheCpu)
+{
+    for (const simd::Tier tier :
+         {simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512}) {
+        ScopedEnv env("RECSIM_SIMD", simd::tierName(tier));
+        EXPECT_EQ(simd::configuredTier(),
+                  std::min(tier, simd::supportedTier()))
+            << simd::tierName(tier);
+    }
+    ScopedEnv env("RECSIM_SIMD", "");
+    EXPECT_EQ(simd::configuredTier(), simd::supportedTier());
+    EXPECT_STREQ(simd::activeKernels(),
+                 simd::tierName(simd::activeTier()));
+}
+
+TEST(SimdDeathTest, UnknownTierIsFatalAndNamesTheTiers)
+{
+    // Re-exec per death test: the child then has no pool workers for
+    // exit() to wait on.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char* value :
+         {"AVX2", "avx2-fma", "avx512f", "1", " scalar", "avx2 "}) {
+        EXPECT_EXIT(
+            {
+                setenv("RECSIM_SIMD", value, 1);
+                simd::configuredTier();
+            },
+            ::testing::ExitedWithCode(1), "use scalar, avx2 or avx512")
+            << "RECSIM_SIMD='" << value << "'";
+    }
+}
+
 TEST(Matmul, AccumulationOrderContractBitwise)
 {
     // Odd sizes: exercise the 6-row blocks, the 16/8-wide column tiles,
@@ -683,7 +717,12 @@ TEST_P(GemmTileEdges, EveryEntryPointMatchesContractAtPool1And8)
 // reach the minimum tile count) and under one 6-row register tile
 // (with enough work to be split into column tiles); depths around the
 // 128-deep k-panel; an output with one column block that is split into
-// row blocks instead; and the train_mlp layer shapes.
+// row blocks instead; and the train_mlp layer shapes. The AVX-512 block
+// cuts a tile into 12-row register tiles plus a compile-time tail:
+// across the list the tiles leave every tail of 1 .. 11 rows, and the
+// last five shapes (tails 2, 3, 4, 9, 10) end their rows in a single
+// full 16-float vector (n = 16), one lane past it (17) or a partial
+// second vector (47).
 INSTANTIATE_TEST_SUITE_P(
     TileEdges, GemmTileEdges,
     ::testing::Values(std::make_tuple(13, 131, 127),
@@ -700,7 +739,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(31, 129, 45),
                       std::make_tuple(128, 1024, 64),
                       std::make_tuple(128, 504, 1024),
-                      std::make_tuple(128, 896, 1024)));
+                      std::make_tuple(128, 896, 1024),
+                      std::make_tuple(14, 67, 16),
+                      std::make_tuple(15, 130, 17),
+                      std::make_tuple(16, 129, 47),
+                      std::make_tuple(21, 33, 17),
+                      std::make_tuple(22, 33, 47)));
 
 TEST(Simd, ReluMaskSpanVectorLaneMatchesScalarTail)
 {

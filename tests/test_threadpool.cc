@@ -10,16 +10,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "nn/embedding_bag.h"
+#include "scoped_env.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -215,6 +218,42 @@ TEST(ThreadPool, GlobalPoolMatchesConfiguredThreads)
     util::globalThreadPool().resize(util::configuredThreads());
     EXPECT_EQ(util::globalThreadPool().numThreads(),
               util::configuredThreads());
+}
+
+TEST(ThreadPool, ConfiguredThreadsAcceptsWholeNumbersUpToTheBound)
+{
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t bound = std::max(util::kMaxThreadsFloor, hw);
+    for (const std::size_t n : {std::size_t(1), std::size_t(3), bound}) {
+        ScopedEnv env("RECSIM_THREADS", std::to_string(n).c_str());
+        EXPECT_EQ(util::configuredThreads(), n);
+    }
+    ScopedEnv env("RECSIM_THREADS", "");
+    EXPECT_EQ(util::configuredThreads(), hw);
+}
+
+TEST(ThreadPoolDeathTest, ConfiguredThreadsRejectsAnythingElse)
+{
+    // Only the parse runs: no pool is built from these values, so none
+    // of them starts a thread. Re-exec per death test, so exit() in the
+    // child has no pool workers to wait on.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::size_t bound = std::max<std::size_t>(
+        util::kMaxThreadsFloor, std::thread::hardware_concurrency());
+    const std::string over = std::to_string(bound + 1);
+    for (const char* value : {"4x", "0", "-2", "abc", "+4", " 4", "100000",
+                              "99999999999999999999999", over.c_str()}) {
+        EXPECT_EXIT(
+            {
+                setenv("RECSIM_THREADS", value, 1);
+                util::configuredThreads();
+            },
+            ::testing::ExitedWithCode(1),
+            "is not a whole number in \\[1, " + std::to_string(bound) +
+                "\\]")
+            << "RECSIM_THREADS='" << value << "'";
+    }
 }
 
 // ---------------------------------------------------------------------
