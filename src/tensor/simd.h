@@ -5,7 +5,7 @@
  *
  * Dispatch contract: the library is compiled for the baseline ISA; the
  * vector kernels are per-function `target(...)` specializations. One
- * tier is chosen once, at first use, and every dispatch site reads it:
+ * tier is chosen once, at startup, and every dispatch site reads it:
  *  - scalar: the portable loops;
  *  - avx2:   AVX2/FMA kernels for the GEMM core and every span kernel;
  *  - avx512: an AVX-512F (zmm) GEMM register tile; the span kernels
@@ -14,11 +14,12 @@
  * The tier is the highest the CPU supports (`__builtin_cpu_supports`),
  * capped by RECSIM_SIMD=scalar|avx2|avx512 when that is set (see
  * configuredTier()); CI runs the suite under each cap. Every kernel
- * computes bit-identical results at every tier: the scalar fallbacks
- * use std::fma where the vector code uses vfmadd, and all paths share
- * the per-element operation order documented on each kernel, so
- * switching tiers — like switching thread counts — never changes a
- * single bit.
+ * computes bit-identical results at every tier on non-NaN data (a NaN
+ * through the GEMM's ReLU epilogue stays NaN only at the scalar tier):
+ * the scalar fallbacks use std::fma where the vector code uses vfmadd,
+ * and all paths share the per-element operation order documented on
+ * each kernel, so switching tiers — like switching thread counts —
+ * never changes a single bit.
  *
  * Fast exp: a Cephes-style degree-5 polynomial after base-2 range
  * reduction, max relative error <= 1e-6 against libm over the clamped
@@ -59,7 +60,11 @@ Tier supportedTier();
  */
 Tier configuredTier();
 
-/** configuredTier() at first use, cached: the tier every kernel runs. */
+/**
+ * The tier every kernel runs: configuredTier(), resolved once during
+ * static initialization (so a bad RECSIM_SIMD fails at startup) and
+ * cached.
+ */
 Tier activeTier();
 
 /** tierName(activeTier()). */
