@@ -154,24 +154,25 @@ IterationModel::estimate() const
         est.power_watts = system_.totalPowerWatts();
         return est;
     }
-    est = system_.platform.num_gpus > 0 ? estimateGpu()
-                                        : estimateCpu();
+    const bool gpu = system_.platform.num_gpus > 0;
+    est = gpu ? estimateGpu() : estimateCpu();
 
     // Critical-path fold over the graph edges: the iteration's lower
-    // bound under perfect overlap. nodeBreakdown() emits one entry per
-    // graph node in node order, so entry i costs graph node i. This
-    // rides alongside the calibrated max/sum estimate above — it does
-    // not change iteration_seconds — and overlap_efficiency =
-    // critical/sum is how much of the serial work the edges can hide
-    // (PS-sharded placements hide most sparse comm, Sec. V).
-    const std::vector<NodeTime> nodes = nodeBreakdown();
-    if (nodes.size() == graph_.numNodes() && !nodes.empty()) {
+    // bound under perfect overlap, with each node at its
+    // nodeBreakdown() seconds (the GPU path splits this estimate's
+    // phases). This rides alongside the calibrated max/sum estimate
+    // above — it does not change iteration_seconds — and
+    // overlap_efficiency = critical/sum is how much of the serial work
+    // the edges can hide (PS-sharded placements hide most sparse comm,
+    // Sec. V).
+    const std::vector<double> seconds =
+        gpu ? nodeSecondsGpu(est.breakdown) : nodeSecondsCpu();
+    if (!seconds.empty()) {
         double sum = 0.0;
-        for (const NodeTime& t : nodes)
-            sum += t.seconds;
+        for (double s : seconds)
+            sum += s;
         est.serial_sum_seconds = sum;
-        est.critical_path_seconds = graph_.criticalPath(
-            [&nodes](std::size_t i) { return nodes[i].seconds; });
+        est.critical_path_seconds = graph_.criticalPath(seconds);
         est.overlap_efficiency = sum > 0.0
             ? est.critical_path_seconds / sum : 1.0;
     }
@@ -639,12 +640,18 @@ IterationModel::nodeBreakdown() const
 {
     if (!plan_.feasible)
         return {};
-    return system_.platform.num_gpus > 0 ? nodeBreakdownGpu()
-                                         : nodeBreakdownCpu();
+    const std::vector<double> seconds = system_.platform.num_gpus > 0
+        ? nodeSecondsGpu(estimateGpu().breakdown)
+        : nodeSecondsCpu();
+    std::vector<NodeTime> out;
+    out.reserve(seconds.size());
+    for (std::size_t i = 0; i < seconds.size(); ++i)
+        out.push_back({graph_.nodes[i].id, seconds[i]});
+    return out;
 }
 
-std::vector<NodeTime>
-IterationModel::nodeBreakdownCpu() const
+std::vector<double>
+IterationModel::nodeSecondsCpu() const
 {
     const hw::Platform& p = system_.platform;
     const double b = static_cast<double>(system_.batch_size);
@@ -684,7 +691,7 @@ IterationModel::nodeBreakdownCpu() const
         ps_nic_rate;
     const double d = static_cast<double>(summary_.emb_dim);
 
-    std::vector<NodeTime> out;
+    std::vector<double> out;
     out.reserve(graph_.numNodes());
     for (const auto& node : graph_.nodes) {
         double s = 0.0;
@@ -744,24 +751,32 @@ IterationModel::nodeBreakdownCpu() const
             }
             break;
         }
-        out.push_back({node.id, s});
+        out.push_back(s);
     }
     return out;
 }
 
-std::vector<NodeTime>
-IterationModel::nodeBreakdownGpu() const
+std::vector<double>
+IterationModel::nodeSecondsGpu(const std::vector<PhaseTime>& phases) const
 {
     // Phase totals from the estimate, attributed to the graph nodes that
     // make them up so per-phase sums reproduce the breakdown exactly.
-    const IterationEstimate est = estimateGpu();
-    auto phase = [&est](const char* name) {
-        for (const auto& ph : est.breakdown) {
+    auto phase = [&phases](const char* name) {
+        for (const auto& ph : phases) {
             if (ph.name == name)
                 return ph.seconds;
         }
         return 0.0;
     };
+    const double t_mlp = phase("mlp_compute");
+    const double t_launch = phase("kernel_dispatch");
+    const double t_gather_gpu = phase("emb_gather_gpu");
+    const double t_a2a = phase("emb_alltoall");
+    const double t_gather_host = phase("emb_gather_host");
+    const double t_pcie = phase("emb_pcie");
+    const double t_remote = phase("emb_remote");
+    const double t_allreduce = phase("dense_allreduce");
+    const double t_input = phase("input_pipeline");
 
     const hw::Platform& p = system_.platform;
     const double g = static_cast<double>(p.num_gpus);
@@ -830,9 +845,9 @@ IterationModel::nodeBreakdownGpu() const
             remote_total += remoteWeight(node);
     }
     const double remote_scale = remote_total > 0.0
-        ? phase("emb_remote") / remote_total : 0.0;
+        ? t_remote / remote_total : 0.0;
 
-    std::vector<NodeTime> out;
+    std::vector<double> out;
     out.reserve(graph_.numNodes());
     for (const auto& node : graph_.nodes) {
         double s = 0.0;
@@ -840,37 +855,35 @@ IterationModel::nodeBreakdownGpu() const
           case graph::NodeKind::Gemm:
           case graph::NodeKind::Interaction:
             if (flops_total > 0.0)
-                s = phase("mlp_compute") * node.fwd_flops / flops_total;
+                s = t_mlp * node.fwd_flops / flops_total;
             break;
           case graph::NodeKind::EmbeddingLookup:
             if (node.device == graph::Device::Gpu && gpu_bytes > 0.0) {
-                s = phase("emb_gather_gpu") * node.bytes_per_example /
-                    gpu_bytes;
+                s = t_gather_gpu * node.bytes_per_example / gpu_bytes;
             } else if (node.device == graph::Device::HostCpu &&
                        host_bytes > 0.0) {
-                s = phase("emb_gather_host") * node.bytes_per_example /
-                    host_bytes;
+                s = t_gather_host * node.bytes_per_example / host_bytes;
             }
             // SparsePs-hosted tables: served by the comm.ps_* legs.
             break;
           case graph::NodeKind::OptimizerUpdate:
-            s = phase("kernel_dispatch");
+            s = t_launch;
             break;
           case graph::NodeKind::Loss:
             break;
           case graph::NodeKind::Comm:
             switch (node.comm) {
               case graph::CommOp::Input:
-                s = phase("input_pipeline");
+                s = t_input;
                 break;
               case graph::CommOp::AllToAll:
-                s = phase("emb_alltoall");
+                s = t_a2a;
                 break;
               case graph::CommOp::PcieStage:
-                s = phase("emb_pcie");
+                s = t_pcie;
                 break;
               case graph::CommOp::AllReduce:
-                s = phase("dense_allreduce");
+                s = t_allreduce;
                 break;
               default:
                 s = remote_scale * remoteWeight(node);
@@ -878,7 +891,7 @@ IterationModel::nodeBreakdownGpu() const
             }
             break;
         }
-        out.push_back({node.id, s});
+        out.push_back(s);
     }
     return out;
 }

@@ -268,8 +268,13 @@ class IterationModel
   private:
     IterationEstimate estimateCpu() const;
     IterationEstimate estimateGpu() const;
-    std::vector<NodeTime> nodeBreakdownCpu() const;
-    std::vector<NodeTime> nodeBreakdownGpu() const;
+
+    /** Seconds of each graph node, in node order (nodeBreakdown()
+     *  pairs them with the ids). The GPU path splits @p phases, the
+     *  breakdown of estimateGpu(). */
+    std::vector<double> nodeSecondsCpu() const;
+    std::vector<double> nodeSecondsGpu(
+        const std::vector<PhaseTime>& phases) const;
 
     /** Sparse-PS aggregate serving capacity, examples/s (0 = none). */
     double sparsePsCapacity() const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "cost/iteration_model.h"
 #include "util/logging.h"
@@ -20,8 +22,9 @@ utilizationStudy(const UtilizationStudyConfig& config)
         "trainer_network", "ps_cpu", "ps_mem_bw", "ps_mem_capacity",
         "ps_network",
     };
-    for (const char* key : keys)
-        out.emplace(key, stats::SampleSet{});
+    stats::SampleSet* sets[std::size(keys)];
+    for (std::size_t k = 0; k < std::size(keys); ++k)
+        sets[k] = &out[keys[k]];
 
     for (std::size_t run = 0; run < config.num_runs; ++run) {
         // Per-run model-configuration jitter: engineers vary feature
@@ -45,27 +48,25 @@ utilizationStudy(const UtilizationStudyConfig& config)
                 static_cast<double>(sys.batch_size) *
                 run_rng.lognormal(0.0, jitter * 0.5)));
 
-        // System-level noise: multiplicative on the achieved
-        // utilizations, modeling co-location and hardware variability.
-        cost::IterationModel im(m, sys);
-        const auto est = im.estimate();
+        const auto est =
+            cost::IterationModel(std::move(m), std::move(sys)).estimate();
         if (!est.feasible)
             continue;
+        // System-level noise: multiplicative on the achieved
+        // utilizations, modeling co-location and hardware variability.
         auto noisy = [&](double u) {
             return std::clamp(
                 u * run_rng.lognormal(0.0, config.system_noise_sigma),
                 0.0, 1.0);
         };
-        out["trainer_cpu"].add(noisy(est.util.trainer_cpu));
-        out["trainer_mem_bw"].add(noisy(est.util.trainer_mem_bw));
-        out["trainer_mem_capacity"].add(
-            noisy(est.util.trainer_mem_capacity));
-        out["trainer_network"].add(noisy(est.util.trainer_network));
-        out["ps_cpu"].add(noisy(est.util.sparse_ps_cpu));
-        out["ps_mem_bw"].add(noisy(est.util.sparse_ps_mem_bw));
-        out["ps_mem_capacity"].add(
-            noisy(est.util.sparse_ps_mem_capacity));
-        out["ps_network"].add(noisy(est.util.sparse_ps_network));
+        const double utils[] = {  // in key order
+            est.util.trainer_cpu, est.util.trainer_mem_bw,
+            est.util.trainer_mem_capacity, est.util.trainer_network,
+            est.util.sparse_ps_cpu, est.util.sparse_ps_mem_bw,
+            est.util.sparse_ps_mem_capacity, est.util.sparse_ps_network,
+        };
+        for (std::size_t k = 0; k < std::size(keys); ++k)
+            sets[k]->add(noisy(utils[k]));
     }
     return out;
 }

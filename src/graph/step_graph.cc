@@ -18,10 +18,6 @@ StepGraph::find(const std::string& id) const
 std::size_t
 StepGraph::indexOf(const std::string& id) const
 {
-    if (indexFresh()) {
-        auto it = id_index_.find(id);
-        return it == id_index_.end() ? npos : it->second;
-    }
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         if (nodes[i].id == id)
             return i;
@@ -43,10 +39,6 @@ StepGraph::indicesOf(NodeKind kind) const
 const Node*
 StepGraph::findComm(CommOp op, int shard) const
 {
-    if (indexFresh()) {
-        auto it = comm_index_.find(commKey(op, shard));
-        return it == comm_index_.end() ? nullptr : &nodes[it->second];
-    }
     for (const auto& node : nodes) {
         if (node.kind == NodeKind::Comm && node.comm == op &&
             (shard < 0 || node.shard == shard)) {
@@ -54,26 +46,6 @@ StepGraph::findComm(CommOp op, int shard) const
         }
     }
     return nullptr;
-}
-
-void
-StepGraph::reindex()
-{
-    id_index_.clear();
-    comm_index_.clear();
-    id_index_.reserve(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        id_index_.emplace(nodes[i].id, i);  // first id wins, like find()
-        if (nodes[i].kind != NodeKind::Comm)
-            continue;
-        // "Any shard" entry (shard key 0) plus the exact-shard entry;
-        // for an unsharded comm node the two coincide.
-        comm_index_.emplace(commKey(nodes[i].comm, -1), i);
-        if (nodes[i].shard >= 0)
-            comm_index_.emplace(commKey(nodes[i].comm, nodes[i].shard),
-                                i);
-    }
-    indexed_count_ = nodes.size();
 }
 
 std::vector<std::size_t>
@@ -169,18 +141,34 @@ StepGraph::validate() const
 }
 
 double
-StepGraph::criticalPath(
-    const std::function<double(std::size_t)>& node_cost) const
+StepGraph::criticalPath(const std::vector<double>& node_seconds) const
 {
+    RECSIM_ASSERT(node_seconds.size() == nodes.size(),
+                  "criticalPath needs one cost per node ({} for {} nodes)",
+                  node_seconds.size(), nodes.size());
+    // Memoized depth-first walk over the deps. max is exact, so it gives
+    // the bits of a finish-time fold in topological order. state: 0 not
+    // reached, 1 on the current walk (reaching it again is a cycle),
+    // 2 finished.
     std::vector<double> finish(nodes.size(), 0.0);
-    double longest = 0.0;
-    for (std::size_t i : topoOrder()) {
+    std::vector<unsigned char> state(nodes.size(), 0);
+    auto walk = [&](auto& self, std::size_t i) -> double {
+        if (state[i] == 2)
+            return finish[i];
+        RECSIM_ASSERT(state[i] == 0, "StepGraph has a dependency cycle");
+        state[i] = 1;
         double start = 0.0;
-        for (std::size_t d : nodes[i].deps)
-            start = std::max(start, finish[d]);
-        finish[i] = start + node_cost(i);
-        longest = std::max(longest, finish[i]);
-    }
+        for (std::size_t d : nodes[i].deps) {
+            RECSIM_ASSERT(d < nodes.size(),
+                          "StepGraph dep index out of range");
+            start = std::max(start, self(self, d));
+        }
+        state[i] = 2;
+        return finish[i] = start + node_seconds[i];
+    };
+    double longest = 0.0;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        longest = std::max(longest, walk(walk, i));
     return longest;
 }
 
@@ -191,6 +179,12 @@ buildModelStepGraph(const model::DlrmConfig& config)
     g.model_name = config.name;
     g.num_dense = config.num_dense;
     g.emb_dim = config.emb_dim;
+    const auto bottom_dims = config.bottomDims();
+    const auto top_dims = config.topDims();
+    // Layers, tables with at most one projection each, interaction,
+    // loss and optimizer.
+    g.nodes.reserve(bottom_dims.size() + 2 * config.sparse.size() +
+                    top_dims.size() + 3);
 
     // The per-node work annotations below use the exact expressions of
     // DlrmConfig::footprint() / mlpParams() / placement::TableCosts so
@@ -233,7 +227,7 @@ buildModelStepGraph(const model::DlrmConfig& config)
     // layers chain; l0 consumes only the input batch.
     std::size_t last_bottom = StepGraph::npos;
     {
-        const auto dims = config.bottomDims();
+        const auto& dims = bottom_dims;
         std::size_t in = config.num_dense;
         for (std::size_t l = 0; l < dims.size(); ++l) {
             last_bottom = addGemm(
@@ -338,7 +332,7 @@ buildModelStepGraph(const model::DlrmConfig& config)
 
     // Top MLP (including the implicit 1-wide logit layer).
     {
-        const auto dims = config.topDims();
+        const auto& dims = top_dims;
         std::size_t in = config.interactionWidth();
         for (std::size_t l = 0; l < dims.size(); ++l) {
             prev = addGemm(GemmRole::TopMlp, "top_mlp",
@@ -363,7 +357,6 @@ buildModelStepGraph(const model::DlrmConfig& config)
         opt.deps = {g.nodes.size() - 1};
         g.nodes.push_back(std::move(opt));
     }
-    g.reindex();
     return g;
 }
 
@@ -424,7 +417,6 @@ forwardSubgraph(const StepGraph& graph)
         for (std::size_t d : eff[i])
             node.deps.push_back(new_index[d]);
     }
-    g.reindex();
     return g;
 }
 
@@ -569,10 +561,8 @@ fusePass(StepGraph& g)
         for (std::size_t j = 1; j < mem.size(); ++j)
             dropped[mem[j]] = 1;
     }
-    if (!any_merge) {
-        g.reindex();
+    if (!any_merge)
         return;
-    }
 
     // Two passes, like forwardSubgraph(): dep edges may point forward
     // in the nodes vector, so first place the surviving nodes and
@@ -653,7 +643,6 @@ fusePass(StepGraph& g)
         }
     }
     g.nodes = std::move(out);
-    g.reindex();
 }
 
 std::string

@@ -22,17 +22,17 @@
  *    consumer that previously called footprint() gets identical values.
  *
  * Consumers: cost/IterationModel folds phase times over the nodes,
- * sim/dist_sim schedules the nodes as DES events, train/runGraphStep
- * executes the real nn layers node by node (tagging obs spans with the
- * node ids), and placement derives its TableCosts from the embedding
- * nodes. bench/validation_graph_breakdown lines the three up per node.
+ * sim/dist_sim schedules the nodes as DES events, and
+ * train/runGraphStep executes the real nn layers node by node (tagging
+ * obs spans with the node ids). bench/validation_graph_breakdown lines
+ * the three up per node. placement::TableCosts reads the same specs
+ * with the same expressions as the embedding-node annotations, so the
+ * planner prices tables without lowering a graph.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/config.h"
@@ -269,31 +269,22 @@ struct StepGraph
     /** Sentinel index for "no such node". */
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    /** First node with @p id, or nullptr. O(1) after reindex(). */
+    /** First node with @p id, or nullptr. A linear scan: a bound
+     *  graph has at most a few hundred nodes, and consumers look up a
+     *  handful of ids per graph. */
     const Node* find(const std::string& id) const;
 
-    /** Index of the first node with @p id, or npos. O(1) after
-     *  reindex(). */
+    /** Index of the first node with @p id, or npos (linear scan). */
     std::size_t indexOf(const std::string& id) const;
 
     /** Indices of nodes matching a predicate-free (kind) filter. */
     std::vector<std::size_t> indicesOf(NodeKind kind) const;
 
-    /** First Comm node with @p op and @p shard (-1 = any), or null.
-     *  O(1) after reindex(). */
+    /** First Comm node with @p op and @p shard (-1 = any), or null
+     *  (linear scan). */
     const Node* findComm(CommOp op, int shard = -1) const;
 
     std::size_t numNodes() const { return nodes.size(); }
-
-    /**
-     * Rebuild the id -> index and (comm op, shard) -> index maps that
-     * make find()/indexOf()/findComm() O(1). buildModelStepGraph() and
-     * bindStepGraph() call this; call it again after mutating `nodes`
-     * by hand. Lookups on a graph whose maps are stale (indexed node
-     * count != nodes.size()) fall back to the linear scan, so
-     * hand-assembled test graphs keep working without it.
-     */
-    void reindex();
 
     /**
      * Indices of every node in a topological order of the dep edges.
@@ -313,27 +304,14 @@ struct StepGraph
 
     /**
      * Length of the longest path through the dep DAG where node i
-     * contributes node_cost(i): finish(i) = node_cost(i) +
-     * max(finish(dep)), result = max over nodes. With per-node seconds
-     * this is the iteration lower bound under perfect overlap — the
-     * serial sum divided by it is the graph's inherent parallelism.
+     * costs node_seconds[i] (one entry per node): finish(i) =
+     * node_seconds[i] + max(finish(dep)), result = max over nodes. With
+     * per-node seconds this is the iteration lower bound under perfect
+     * overlap — the serial sum divided by it is the graph's inherent
+     * parallelism. A memoized walk over the deps; panics, like
+     * topoOrder(), on a cycle or an out-of-range dep.
      */
-    double criticalPath(
-        const std::function<double(std::size_t)>& node_cost) const;
-
-  private:
-    /** id -> index; valid while indexed_count_ == nodes.size(). */
-    std::unordered_map<std::string, std::size_t> id_index_;
-    /** (comm op, shard+1) -> index; shard key 0 = first with the op. */
-    std::unordered_map<uint64_t, std::size_t> comm_index_;
-    std::size_t indexed_count_ = 0;
-
-    bool indexFresh() const { return indexed_count_ == nodes.size(); }
-    static uint64_t commKey(CommOp op, int shard)
-    {
-        return (static_cast<uint64_t>(op) << 32) |
-            static_cast<uint32_t>(shard + 1);
-    }
+    double criticalPath(const std::vector<double>& node_seconds) const;
 };
 
 /**
@@ -391,10 +369,9 @@ StepGraph forwardSubgraph(const StepGraph& graph);
  *     saving as one dispatch instead of N.
  *
  * Idempotent: fusing an already-fused graph changes nothing. Comm /
- * Loss / Optimizer nodes and all non-merged annotations are preserved;
- * reindex() is re-run. Aggregate summarize() totals are unchanged
- * (exactly, when each device hosts one group — FP re-association only
- * otherwise).
+ * Loss / Optimizer nodes and all non-merged annotations are preserved.
+ * Aggregate summarize() totals are unchanged (exactly, when each device
+ * hosts one group — FP re-association only otherwise).
  */
 void fusePass(StepGraph& graph);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "graph/step_graph.h"
 #include "util/logging.h"
 
 namespace recsim {
@@ -69,22 +68,6 @@ TableCosts::TableCosts(const std::vector<data::SparseFeatureSpec>& specs,
     }
 }
 
-TableCosts
-tableCostsFromGraph(const graph::StepGraph& g,
-                    double optimizer_state_factor)
-{
-    RECSIM_ASSERT(optimizer_state_factor >= 1.0,
-                  "optimizer state cannot shrink a table");
-    TableCosts costs(std::vector<data::SparseFeatureSpec>{}, 1);
-    for (const auto& node : g.nodes) {
-        if (node.kind != graph::NodeKind::EmbeddingLookup)
-            continue;
-        costs.bytes.push_back(node.param_bytes * optimizer_state_factor);
-        costs.access_bytes.push_back(node.bytes_per_example);
-    }
-    return costs;
-}
-
 ChunkedCosts
 rowWiseSplitOversized(const TableCosts& costs, double shard_capacity)
 {
@@ -129,6 +112,10 @@ greedyPartition(const TableCosts& costs, std::size_t num_shards,
                          return weight[a] > weight[b];
                      });
 
+    // The reason names the last table that found no shard; it is
+    // formatted once, after the loop.
+    std::size_t unplaced = n;
+    double placed_before_unplaced = 0.0;
     for (std::size_t t : order) {
         // Lightest shard (by objective) with remaining byte capacity.
         int best = -1;
@@ -147,18 +134,21 @@ greedyPartition(const TableCosts& costs, std::size_t num_shards,
         }
         if (best < 0) {
             part.feasible = false;
-            double placed = 0.0;
+            unplaced = t;
+            placed_before_unplaced = 0.0;
             for (double b : part.shard_bytes)
-                placed += b;
-            part.infeasible_reason = util::format(
-                "no shard has room for a {}-byte table: {} shards of "
-                "{} bytes hold {} already", costs.bytes[t], num_shards,
-                shard_capacity, placed);
+                placed_before_unplaced += b;
             continue;
         }
         part.shard_of[t] = best;
         part.shard_bytes[best] += costs.bytes[t];
         part.shard_access_bytes[best] += costs.access_bytes[t];
+    }
+    if (unplaced < n) {
+        part.infeasible_reason = util::format(
+            "no shard has room for a {}-byte table: {} shards of "
+            "{} bytes hold {} already", costs.bytes[unplaced], num_shards,
+            shard_capacity, placed_before_unplaced);
     }
     return part;
 }

@@ -15,10 +15,6 @@
 #include "data/spec.h"
 
 namespace recsim {
-namespace graph {
-struct StepGraph;
-} // namespace graph
-
 namespace placement {
 
 /** What the greedy partitioner balances. */
@@ -53,7 +49,12 @@ struct Partition
 };
 
 /**
- * Per-table byte and traffic accounting used by the partitioners.
+ * Per-table byte and traffic accounting used by the partitioners, in
+ * table order. The expressions are those of the StepGraph's
+ * EmbeddingLookup annotations (graph::buildModelStepGraph): bytes[t] is
+ * node param_bytes times the factor and access_bytes[t] is node
+ * bytes_per_example, bit for bit, so planPlacement() prices tables
+ * from the specs without lowering a graph.
  * @param optimizer_state_factor Multiplier on raw table bytes for
  *        optimizer state (row-wise Adagrad adds one float per row,
  *        i.e. factor 1 + 1/d).
@@ -66,16 +67,6 @@ struct TableCosts
     TableCosts(const std::vector<data::SparseFeatureSpec>& specs,
                std::size_t emb_dim, double optimizer_state_factor = 1.0);
 };
-
-/**
- * Derive per-table costs from a StepGraph's EmbeddingLookup nodes (the
- * graph-IR twin of the spec-based constructor; values are bit-identical
- * because the node annotations use the same expressions). This is the
- * path planPlacement() uses, so the partitioners operate on the same IR
- * the cost model, DES and trainer consume.
- */
-TableCosts tableCostsFromGraph(const graph::StepGraph& graph,
-                               double optimizer_state_factor = 1.0);
 
 /**
  * Split any table whose bytes exceed @p shard_capacity into row-wise

@@ -36,15 +36,13 @@ totalOf(const std::vector<double>& v)
     return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-/** Per-table costs honoring the serving precision, derived from the
- *  model's StepGraph embedding nodes. */
+/** Per-table costs honoring the serving precision. */
 TableCosts
 makeCosts(const model::DlrmConfig& config,
           const PlacementOptions& options)
 {
-    const graph::StepGraph g = graph::buildModelStepGraph(config);
-    TableCosts costs =
-        tableCostsFromGraph(g, options.memory_overhead_factor);
+    TableCosts costs(config.sparse, config.emb_dim,
+                     options.memory_overhead_factor);
     const double factor = options.emb_bytes_per_element / 4.0;
     if (factor != 1.0) {
         for (auto& b : costs.bytes)
@@ -431,6 +429,9 @@ bindStepGraph(graph::StepGraph& g, const PlacementPlan& plan,
     using graph::Node;
     using graph::NodeKind;
 
+    // At most five legs per PS shard plus five unsharded comm nodes.
+    g.nodes.reserve(g.nodes.size() + 5 * num_sparse_ps + 5);
+
     // Dense compute (gemms, interaction, loss, optimizer) runs on the
     // trainer CPU in the distributed-CPU system and on the GPU
     // otherwise.
@@ -570,7 +571,6 @@ bindStepGraph(graph::StepGraph& g, const PlacementPlan& plan,
             g.nodes[interaction_idx].deps.push_back(r);
         addComm("comm.dense_sync", CommOp::DenseSync, Device::DensePs,
                 -1, 1.0, {optimizer_idx});
-        g.reindex();
         return;
     }
 
@@ -622,7 +622,6 @@ bindStepGraph(graph::StepGraph& g, const PlacementPlan& plan,
     }
     addComm("comm.allreduce", CommOp::AllReduce, Device::Gpu, -1, 1.0,
             {optimizer_idx});
-    g.reindex();
 }
 
 } // namespace placement

@@ -15,6 +15,10 @@
 #include "placement/partitioner.h"
 
 namespace recsim {
+namespace graph {
+struct StepGraph;
+} // namespace graph
+
 namespace placement {
 
 /** Where the embedding tables live (Fig 8). */

@@ -64,14 +64,6 @@ class Simulation
     std::string workerTrack(std::size_t trainer, std::size_t worker)
         const;
 
-    /** Emit a simulated-time span when tracing is on. */
-    static void simSpan(const std::string& track, const char* name,
-                        Tick start, Tick end)
-    {
-        if (obs::Tracer::enabled() && end > start)
-            obs::Tracer::global().addSimSpan(track, name, start, end);
-    }
-
     static constexpr std::size_t kNoNode =
         std::numeric_limits<std::size_t>::max();
 
@@ -224,7 +216,8 @@ Simulation::run()
     node_accum_.assign(graph_->nodes.size(), 0.0);
     gpu_mode_ = p.num_gpus > 0;
 
-    // O(1) per lookup: bindStepGraph() indexed the graph's comm nodes.
+    // Graph index of the comm node of each DES leg (a linear scan; a
+    // few dozen lookups per run).
     auto nodeIdx = [this](graph::CommOp op, int shard) {
         const graph::Node* node = graph_->findComm(op, shard);
         return node == nullptr
@@ -590,7 +583,10 @@ void
 Simulation::finishIteration(std::size_t trainer, std::size_t worker,
                             Tick start, Tick end)
 {
-    simSpan(workerTrack(trainer, worker), "iteration", start, end);
+    if (obs::Tracer::enabled() && end > start) {
+        obs::Tracer::global().addSimSpan(workerTrack(trainer, worker),
+                                         "iteration", start, end);
+    }
     // Count by completion time only: warmup is excluded by the window
     // opening, so queueing delay under many workers does not eat into
     // the measured window.

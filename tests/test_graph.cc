@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -423,44 +425,141 @@ TEST(StepGraphDeps, CriticalPathMatchesHandComputedChain)
     g.nodes[2].deps = {0};
     g.nodes[3].deps = {1, 2};
     const std::vector<double> costs = {1.0, 10.0, 2.0, 5.0};
-    EXPECT_DOUBLE_EQ(
-        g.criticalPath([&costs](std::size_t i) { return costs[i]; }),
-        16.0);
+    EXPECT_DOUBLE_EQ(g.criticalPath(costs), 16.0);
     // Uniform zero cost collapses the path to zero.
-    EXPECT_DOUBLE_EQ(g.criticalPath([](std::size_t) { return 0.0; }),
-                     0.0);
+    EXPECT_DOUBLE_EQ(g.criticalPath(std::vector<double>(4, 0.0)), 0.0);
 }
 
-TEST(StepGraphDeps, IndexedLookupsMatchLinearScan)
+/** The longest-path fold in topoOrder(): the reference criticalPath()
+ *  must reproduce bit for bit. */
+double
+criticalPathByTopoFold(const graph::StepGraph& g,
+                       const std::vector<double>& cost)
+{
+    std::vector<double> finish(g.numNodes(), 0.0);
+    double longest = 0.0;
+    for (std::size_t i : g.topoOrder()) {
+        double start = 0.0;
+        for (std::size_t d : g.nodes[i].deps)
+            start = std::max(start, finish[d]);
+        finish[i] = start + cost[i];
+        longest = std::max(longest, finish[i]);
+    }
+    return longest;
+}
+
+TEST(StepGraphDeps, CriticalPathMatchesTopoFoldOnModelZooGraphs)
+{
+    using placement::EmbeddingPlacement;
+    const auto m1 = model::DlrmConfig::m1Prod();
+    // M3's tables overflow GPU memory, so Hybrid splits GPU and host.
+    const auto m3 = model::DlrmConfig::m3Prod();
+    std::vector<std::pair<model::DlrmConfig, cost::SystemConfig>> setups =
+        {{m1, cost::SystemConfig::cpuSetup(6, 8, 2, 200, 1)}};
+    for (const auto p :
+         {EmbeddingPlacement::GpuMemory, EmbeddingPlacement::HostMemory,
+          EmbeddingPlacement::RemotePs, EmbeddingPlacement::Hybrid}) {
+        const auto& m = p == EmbeddingPlacement::Hybrid ? m3 : m1;
+        const std::size_t ps = p == EmbeddingPlacement::RemotePs ? 4 : 0;
+        setups.push_back({m, cost::SystemConfig::bigBasinSetup(p, 1600, ps)});
+        setups.push_back({m, cost::SystemConfig::zionSetup(p, 1600, ps)});
+    }
+    auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    for (const auto& [m, sys] : setups) {
+        for (const bool fused : {false, true}) {
+            cost::CostParams params;
+            params.fuse_step_graph = fused;
+            const cost::IterationModel im(m, sys, params);
+            const auto& g = im.stepGraph();
+            const std::string where = sys.platform.name + " " +
+                placement::toString(sys.placement) +
+                (fused ? " fused" : " unfused");
+            ASSERT_TRUE(im.plan().feasible) << where;
+            std::vector<double> seconds;
+            for (const auto& t : im.nodeBreakdown())
+                seconds.push_back(t.seconds);
+            ASSERT_EQ(seconds.size(), g.numNodes()) << where;
+            const double walk = g.criticalPath(seconds);
+            EXPECT_EQ(bits(walk), bits(criticalPathByTopoFold(g, seconds)))
+                << where;
+            EXPECT_EQ(bits(walk), bits(im.estimate().critical_path_seconds))
+                << where;
+            // Synthetic costs too: the walk must match the fold for
+            // any costs, not only the breakdown's.
+            std::vector<double> ranks(g.numNodes());
+            for (std::size_t i = 0; i < ranks.size(); ++i)
+                ranks[i] = 1.0 + 0.37 * static_cast<double>(i % 11);
+            EXPECT_EQ(bits(g.criticalPath(ranks)),
+                      bits(criticalPathByTopoFold(g, ranks)))
+                << where;
+        }
+    }
+}
+
+TEST(StepGraphDepsDeath, CriticalPathPanicsOnACycle)
+{
+    graph::StepGraph g;
+    for (int i = 0; i < 3; ++i) {
+        graph::Node node;
+        node.id = "n" + std::to_string(i);
+        g.nodes.push_back(node);
+    }
+    g.nodes[1].deps = {0, 2};
+    g.nodes[2].deps = {1};
+    EXPECT_DEATH(g.criticalPath(std::vector<double>(3, 1.0)),
+                 "dependency cycle");
+}
+
+TEST(StepGraphDepsDeath, CriticalPathPanicsOnAnOutOfRangeDep)
+{
+    graph::StepGraph g;
+    for (int i = 0; i < 2; ++i) {
+        graph::Node node;
+        node.id = "n" + std::to_string(i);
+        g.nodes.push_back(node);
+    }
+    g.nodes[1].deps = {0, 5};
+    EXPECT_DEATH(g.criticalPath(std::vector<double>(2, 1.0)),
+                 "out of range");
+}
+
+TEST(StepGraphDeps, LookupsFindEveryIdAndCommLeg)
 {
     const auto m = model::DlrmConfig::testSuite(256, 8, 100000);
     auto g = cost::IterationModel(
         m, cost::SystemConfig::cpuSetup(2, 3, 1, 200, 1)).stepGraph();
 
-    // The indexed graph answers exactly like a linear scan would.
+    // Every id is found at its own index (ids are unique).
     for (std::size_t i = 0; i < g.numNodes(); ++i) {
         const auto& node = g.nodes[i];
-        EXPECT_EQ(g.indexOf(node.id),
-                  static_cast<std::size_t>(
-                      g.find(node.id) - g.nodes.data()));
-        EXPECT_EQ(g.nodes[g.indexOf(node.id)].id, node.id);
+        EXPECT_EQ(g.indexOf(node.id), i) << node.id;
+        EXPECT_EQ(g.find(node.id), &node) << node.id;
     }
     EXPECT_EQ(g.indexOf("no_such_node"), graph::StepGraph::npos);
     EXPECT_EQ(g.find("no_such_node"), nullptr);
 
-    // Mutating nodes without reindex() falls back to the linear scan:
-    // lookups stay correct, including for the new node.
+    // Every (op, shard) pair finds its comm node, and "any shard" finds
+    // the first node with the op.
+    for (std::size_t i = 0; i < g.numNodes(); ++i) {
+        const auto& node = g.nodes[i];
+        if (node.kind != NodeKind::Comm)
+            continue;
+        EXPECT_EQ(g.findComm(node.comm, node.shard), &node) << node.id;
+        const graph::Node* first = g.findComm(node.comm);
+        ASSERT_NE(first, nullptr) << node.id;
+        EXPECT_LE(first, &node) << node.id;
+        EXPECT_EQ(first->comm, node.comm) << node.id;
+    }
+    EXPECT_EQ(g.findComm(graph::CommOp::PsRequest, 3), nullptr);
+    EXPECT_EQ(g.findComm(graph::CommOp::AllReduce), nullptr);
+
+    // A node appended by hand is found with no further step.
     graph::Node extra;
     extra.id = "hand_added";
     extra.kind = NodeKind::Comm;
     extra.comm = graph::CommOp::DenseSync;
     extra.shard = 7;
     g.nodes.push_back(extra);
-    EXPECT_EQ(g.indexOf("hand_added"), g.numNodes() - 1);
-    EXPECT_EQ(g.findComm(graph::CommOp::DenseSync, 7),
-              &g.nodes.back());
-    // After reindex() the maps cover the new node too.
-    g.reindex();
     EXPECT_EQ(g.indexOf("hand_added"), g.numNodes() - 1);
     EXPECT_EQ(g.findComm(graph::CommOp::DenseSync, 7),
               &g.nodes.back());
