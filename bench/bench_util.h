@@ -107,8 +107,9 @@ jsonString(const std::string& text)
  * Write the `"host"` member of a BENCH_*.json object, with a trailing
  * comma: the host that produced the numbers — cores, pool size, SIMD
  * tier (tensor::simd::activeKernels()), CPU model, build type and the
- * commit CMake was configured at ("unknown" outside a git checkout).
- * The same fields as perfbench's host block.
+ * commit CMake was configured at ("unknown" outside a git checkout,
+ * "<sha>-dirty" when tracked files had uncommitted changes). The same
+ * fields as perfbench's host block.
  */
 inline void
 writeHostJson(std::ostream& out, std::size_t pool_threads)

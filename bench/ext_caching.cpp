@@ -32,6 +32,7 @@
 #include "nn/embedding_backend.h"
 #include "placement/placement.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 using namespace recsim;
 using placement::EmbeddingPlacement;
@@ -222,7 +223,9 @@ main(int argc, char** argv)
         std::cerr << "cannot write " << json_path << "\n";
         return 1;
     }
-    out << "{\n  \"config\": \"" << m.name << "\",\n"
+    out << "{\n";
+    bench::writeHostJson(out, util::configuredThreads());
+    out << "  \"config\": \"" << m.name << "\",\n"
         << "  \"batch_size\": " << kBatch << ",\n"
         << "  \"measure_batches\": " << kMeasureBatches << ",\n"
         << "  \"sweep\": [\n";

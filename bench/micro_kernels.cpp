@@ -318,6 +318,25 @@ main(int argc, char** argv)
               });
     }
 
+    // --- Interaction forward: pairwise dots ---------------------------
+    // DotInteraction::forward at the serve replica's shape: a 312-item
+    // batch of F = 31 vectors (the dense projection and 30 pooled
+    // embeddings) of d = 64. CI gates its serial rate relative to
+    // gemm_256.
+    {
+        const std::size_t batch = 312, d = 64, sparse = 30;
+        tensor::Tensor dense(batch, d), out;
+        dense.fillNormal(rng, 1.0f);
+        std::vector<tensor::Tensor> embs(sparse, tensor::Tensor(batch, d));
+        for (auto& e : embs)
+            e.fillNormal(rng, 1.0f);
+        const nn::DotInteraction dot;
+        const double pairs = (sparse + 1) * sparse / 2.0;
+        h.run("interaction_dot_fwd", "GFLOP/s",
+              2.0 * static_cast<double>(batch) * pairs * d,
+              [&] { dot.forward(dense, embs, out); });
+    }
+
     // --- Elementwise / reduction kernels -------------------------------
     {
         const std::size_t rows = quick ? 1024 : 4096, cols = 512;

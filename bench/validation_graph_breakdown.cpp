@@ -40,6 +40,7 @@
 #include "sim/dist_sim.h"
 #include "train/trainer.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 using namespace recsim;
 
@@ -452,7 +453,9 @@ main(int argc, char** argv)
         std::cerr << "cannot write " << json_path << "\n";
         return 1;
     }
-    out << "{\n  \"config\": \"" << m.name << "\",\n"
+    out << "{\n";
+    bench::writeHostJson(out, util::configuredThreads());
+    out << "  \"config\": \"" << m.name << "\",\n"
         << "  \"batch_size\": " << kBatch << ",\n"
         << "  \"measured_iterations\": " << unfused.measured_iters
         << ",\n"

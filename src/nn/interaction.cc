@@ -1,9 +1,12 @@
 #include "nn/interaction.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/trace.h"
+#include "tensor/simd.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace recsim {
 namespace nn {
@@ -76,6 +79,81 @@ DotInteraction::outWidth(std::size_t num_sparse, std::size_t emb_dim)
     return emb_dim + f * (f - 1) / 2;
 }
 
+namespace {
+
+/**
+ * Examples per pool chunk of DotInteraction::forward: at least
+ * kDotChunkWork pairwise multiply-adds, so dispatch stays a small share
+ * of a chunk, and at most kDotMaxChunks chunks per batch, so a large
+ * batch does not flood the pool's queue. Depends only on (B, F, d).
+ */
+constexpr std::size_t kDotChunkWork = std::size_t(1) << 17;
+constexpr std::size_t kDotMaxChunks = 32;
+
+std::size_t
+dotGrain(std::size_t b, std::size_t f, std::size_t d)
+{
+    const std::size_t work = std::max<std::size_t>(f * (f - 1) / 2 * d, 1);
+    return std::max({kDotChunkWork / work,
+                     (b + kDotMaxChunks - 1) / kDotMaxChunks,
+                     std::size_t(1)});
+}
+
+/**
+ * The pairwise half of the dot interaction's backward: for each
+ * example and each pair i < j (i-major), g = g_rows.row(ex)[col0 +
+ * pair]; a zero g is skipped, otherwise dvec[i] += g * vec[j] and
+ * dvec[j] += g * vec[i], element by element in increasing k.
+ */
+void
+scatterPairGrads(const tensor::Tensor& dense,
+                 const std::vector<tensor::Tensor>& embs,
+                 const tensor::Tensor& g_rows, std::size_t col0,
+                 tensor::Tensor& d_dense,
+                 std::vector<tensor::Tensor>& d_embs)
+{
+    const std::size_t d = dense.cols();
+    const std::size_t f = embs.size() + 1;
+    std::vector<const float*> vec(f);
+    std::vector<float*> dvec(f);
+    for (std::size_t ex = 0; ex < dense.rows(); ++ex) {
+        vec[0] = dense.row(ex);
+        dvec[0] = d_dense.row(ex);
+        for (std::size_t s = 0; s < embs.size(); ++s) {
+            vec[s + 1] = embs[s].row(ex);
+            dvec[s + 1] = d_embs[s].row(ex);
+        }
+        const float* grow = g_rows.row(ex) + col0;
+        std::size_t off = 0;
+        for (std::size_t i = 0; i < f; ++i) {
+            for (std::size_t j = i + 1; j < f; ++j) {
+                const float g = grow[off++];
+                if (g == 0.0f)
+                    continue;
+                for (std::size_t k = 0; k < d; ++k) {
+                    dvec[i][k] += g * vec[j][k];
+                    dvec[j][k] += g * vec[i][k];
+                }
+            }
+        }
+    }
+}
+
+/** Shapes every d_embs[s] like embs[s] and zeroes it. */
+void
+zeroEmbeddingGrads(const std::vector<tensor::Tensor>& embs,
+                   std::vector<tensor::Tensor>& d_embs)
+{
+    d_embs.resize(embs.size());
+    for (std::size_t s = 0; s < embs.size(); ++s) {
+        if (!d_embs[s].sameShape(embs[s]))
+            d_embs[s] = tensor::Tensor(embs[s].rows(), embs[s].cols());
+        d_embs[s].zero();
+    }
+}
+
+} // namespace
+
 void
 DotInteraction::forward(const tensor::Tensor& dense,
                         const std::vector<tensor::Tensor>& embs,
@@ -90,26 +168,28 @@ DotInteraction::forward(const tensor::Tensor& dense,
                       "dot interaction needs [B, d] embeddings");
     const std::size_t width = outWidth(embs.size(), d);
     if (out.rank() != 2 || out.rows() != b || out.cols() != width)
-        out = tensor::Tensor(b, width);
+        out.resize(b, width);
 
-    // Per-example view of the F vectors; slot 0 is the dense projection.
-    std::vector<const float*> vec(f);
-    for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s)
-            vec[s + 1] = embs[s].row(ex);
-        float* orow = out.row(ex);
-        std::memcpy(orow, vec[0], d * sizeof(float));
-        std::size_t off = d;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                float acc = 0.0f;
-                for (std::size_t k = 0; k < d; ++k)
-                    acc += vec[i][k] * vec[j][k];
-                orow[off++] = acc;
+    // Each example's output row is owned by one chunk and its dots do
+    // not depend on the chunking, so the result is bit-identical at any
+    // pool size.
+    util::globalThreadPool().parallelFor(
+        0, b, dotGrain(b, f, d),
+        [&](std::size_t e0, std::size_t e1) {
+            // Per-example view of the F vectors; slot 0 is the dense
+            // projection.
+            thread_local std::vector<const float*> vec;
+            vec.resize(f);
+            for (std::size_t ex = e0; ex < e1; ++ex) {
+                vec[0] = dense.row(ex);
+                for (std::size_t s = 0; s < embs.size(); ++s)
+                    vec[s + 1] = embs[s].row(ex);
+                float* orow = out.row(ex);
+                std::memcpy(orow, vec[0], d * sizeof(float));
+                tensor::simd::pairwiseDotsSpan(vec.data(), f, d,
+                                               orow + d);
             }
-        }
-    }
+        });
 }
 
 void
@@ -121,46 +201,23 @@ DotInteraction::backward(const tensor::Tensor& dense,
     RECSIM_TRACE_SPAN("nn.dot.bwd");
     const std::size_t b = dense.rows();
     const std::size_t d = dense.cols();
-    const std::size_t f = embs.size() + 1;
     RECSIM_ASSERT(dy.rows() == b &&
                   dy.cols() == outWidth(embs.size(), d),
                   "dot backward dy {}", dy.shapeString());
     if (!d_dense.sameShape(dense))
         d_dense = tensor::Tensor(b, d);
     d_dense.zero();
-    d_embs.resize(embs.size());
-    for (std::size_t s = 0; s < embs.size(); ++s) {
-        if (!d_embs[s].sameShape(embs[s]))
-            d_embs[s] = tensor::Tensor(b, d);
-        d_embs[s].zero();
-    }
-
-    std::vector<const float*> vec(f);
-    std::vector<float*> dvec(f);
+    zeroEmbeddingGrads(embs, d_embs);
+    // Pass-through part: the dense copy occupies the first d slots. It
+    // lands in every d_dense element before that element's pairwise
+    // terms, as in a per-example walk.
     for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        dvec[0] = d_dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s) {
-            vec[s + 1] = embs[s].row(ex);
-            dvec[s + 1] = d_embs[s].row(ex);
-        }
+        float* drow = d_dense.row(ex);
         const float* dyrow = dy.row(ex);
-        // Pass-through part: the dense copy occupies the first d slots.
         for (std::size_t k = 0; k < d; ++k)
-            dvec[0][k] += dyrow[k];
-        std::size_t off = d;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                const float g = dyrow[off++];
-                if (g == 0.0f)
-                    continue;
-                for (std::size_t k = 0; k < d; ++k) {
-                    dvec[i][k] += g * vec[j][k];
-                    dvec[j][k] += g * vec[i][k];
-                }
-            }
-        }
+            drow[k] += dyrow[k];
     }
+    scatterPairGrads(dense, embs, dy, d, d_dense, d_embs);
 }
 
 void
@@ -172,7 +229,6 @@ DotInteraction::backwardFused(const tensor::Tensor& dense,
 {
     RECSIM_TRACE_SPAN("nn.dot.bwd");
     const std::size_t b = dense.rows();
-    const std::size_t d = dense.cols();
     const std::size_t f = embs.size() + 1;
     RECSIM_ASSERT(d_pairs.rows() == b &&
                   d_pairs.cols() == f * (f - 1) / 2,
@@ -183,36 +239,8 @@ DotInteraction::backwardFused(const tensor::Tensor& dense,
     // would carry, so the g == 0 skip and every += match backward().
     RECSIM_ASSERT(d_dense.sameShape(dense),
                   "dot fused backward d_dense {}", d_dense.shapeString());
-    d_embs.resize(embs.size());
-    for (std::size_t s = 0; s < embs.size(); ++s) {
-        if (!d_embs[s].sameShape(embs[s]))
-            d_embs[s] = tensor::Tensor(b, d);
-        d_embs[s].zero();
-    }
-
-    std::vector<const float*> vec(f);
-    std::vector<float*> dvec(f);
-    for (std::size_t ex = 0; ex < b; ++ex) {
-        vec[0] = dense.row(ex);
-        dvec[0] = d_dense.row(ex);
-        for (std::size_t s = 0; s < embs.size(); ++s) {
-            vec[s + 1] = embs[s].row(ex);
-            dvec[s + 1] = d_embs[s].row(ex);
-        }
-        const float* dyrow = d_pairs.row(ex);
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < f; ++i) {
-            for (std::size_t j = i + 1; j < f; ++j) {
-                const float g = dyrow[off++];
-                if (g == 0.0f)
-                    continue;
-                for (std::size_t k = 0; k < d; ++k) {
-                    dvec[i][k] += g * vec[j][k];
-                    dvec[j][k] += g * vec[i][k];
-                }
-            }
-        }
-    }
+    zeroEmbeddingGrads(embs, d_embs);
+    scatterPairGrads(dense, embs, d_pairs, 0, d_dense, d_embs);
 }
 
 } // namespace nn

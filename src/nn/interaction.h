@@ -58,6 +58,12 @@ class DotInteraction
                                 std::size_t emb_dim);
 
     /**
+     * Row ex of @p out is dense.row(ex) followed by the example's
+     * pairwise dots, i-major over i < j with vector 0 the dense input,
+     * each the fold acc += v_i[k] * v_j[k] from +0.0f over increasing k
+     * with no fma (tensor::simd::pairwiseDotsSpan). Examples run in a
+     * parallelFor whose grain depends only on (B, F, d), so the output
+     * bits are the same at every pool size and SIMD tier.
      * @param dense [B, d]; must match the embedding dimension.
      * @param embs  S tensors of [B, d].
      * @param out   [B, outWidth(S, d)].

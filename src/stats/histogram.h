@@ -22,10 +22,9 @@ enum class BinScale { Linear, Log10 };
  *
  * NOT thread-safe: add() mutates bin counts and totals without
  * synchronization, so concurrent recording (e.g. serving workers
- * retiring batches) must go through stats::ConcurrentSampleSet or
- * obs::MetricsRegistry::observe(), both of which lock — the audit
- * behind tests/test_serve.cc's TSan matrix test. Single-threaded
- * bench/fleet accumulation stays lock-free here.
+ * retiring batches) must go through stats::WindowedHistogram (atomic
+ * bins) or obs::MetricsRegistry::observe() (which locks).
+ * Single-threaded bench/fleet accumulation stays lock-free here.
  */
 class Histogram
 {

@@ -125,38 +125,6 @@ tailSummary(std::vector<double> values)
     return t;
 }
 
-void
-ConcurrentSampleSet::add(double x)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    values_.push_back(x);
-}
-
-std::size_t
-ConcurrentSampleSet::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return values_.size();
-}
-
-SampleSet
-ConcurrentSampleSet::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return SampleSet(values_);
-}
-
-TailSummary
-ConcurrentSampleSet::tail() const
-{
-    std::vector<double> copy;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        copy = values_;
-    }
-    return tailSummary(std::move(copy));
-}
-
 double
 pearson(const std::vector<double>& x, const std::vector<double>& y)
 {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,34 +83,6 @@ double percentile(std::vector<double> values, double pct);
 
 /** Exact p50/p95/p99 + mean/max of @p values in one sort. */
 TailSummary tailSummary(std::vector<double> values);
-
-/**
- * Mutex-guarded sample container for concurrent recording: the
- * serving path's completion latencies are recorded by whichever
- * thread retires a batch, and neither SampleSet nor Histogram is safe
- * for that (both mutate unsynchronized state — see histogram.h).
- * add() is cheap (one lock, one push_back); snapshots copy out so
- * quantile math runs unlocked.
- */
-class ConcurrentSampleSet
-{
-  public:
-    /** Record one observation. Thread-safe. */
-    void add(double x);
-
-    /** Number of recorded observations. Thread-safe. */
-    std::size_t size() const;
-
-    /** Copy of the samples recorded so far. Thread-safe. */
-    SampleSet snapshot() const;
-
-    /** tailSummary() of the samples recorded so far. Thread-safe. */
-    TailSummary tail() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<double> values_;
-};
 
 /** Pearson correlation of two equal-length series. */
 double pearson(const std::vector<double>& x, const std::vector<double>& y);

@@ -155,9 +155,12 @@ gemmBlockScalar(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
  * two b loads shared across the 6 rows per k step) over the same
  * cache block as gemmBlockScalar, with 8-wide and scalar column tails
  * and a 1-row tail; every path follows the same per-element contract as
- * gemmBlockScalar, so the two are bitwise interchangeable. The dReLU
- * mask is applied as a > 0 compare ANDed into the accumulator (dy's
- * exact bits or +0.0f per lane — what the scalar ternary stores).
+ * gemmBlockScalar, so the two are bitwise interchangeable. The ReLU is
+ * vmaxps(0, acc): maxps returns its second operand when either input
+ * is NaN or both are zero, so it keeps a NaN or -0.0 accumulator
+ * exactly as std::max(acc, 0.0f) does. The dReLU mask is applied as a
+ * > 0 compare ANDed into the accumulator (dy's exact bits or +0.0f per
+ * lane — what the scalar ternary stores).
  */
 __attribute__((target("avx2,fma"))) void
 gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
@@ -203,8 +206,8 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
                     acc[r][0] = _mm256_add_ps(acc[r][0], bv0);
                     acc[r][1] = _mm256_add_ps(acc[r][1], bv1);
                     if (relu) {
-                        acc[r][0] = _mm256_max_ps(acc[r][0], zero);
-                        acc[r][1] = _mm256_max_ps(acc[r][1], zero);
+                        acc[r][0] = _mm256_max_ps(zero, acc[r][0]);
+                        acc[r][1] = _mm256_max_ps(zero, acc[r][1]);
                     }
                 }
             }
@@ -244,7 +247,7 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
                 for (std::size_t r = 0; r < kMr; ++r) {
                     acc[r] = _mm256_add_ps(acc[r], bv);
                     if (relu)
-                        acc[r] = _mm256_max_ps(acc[r], zero);
+                        acc[r] = _mm256_max_ps(zero, acc[r]);
                 }
             }
             if (masked) {
@@ -285,8 +288,8 @@ gemmBlockAvx2(const float* RECSIM_RESTRICT apan, std::size_t a_rs,
                 a1 = _mm256_add_ps(a1,
                                    _mm256_loadu_ps(bias + jj + jt + 8));
                 if (relu) {
-                    a0 = _mm256_max_ps(a0, zero);
-                    a1 = _mm256_max_ps(a1, zero);
+                    a0 = _mm256_max_ps(zero, a0);
+                    a1 = _mm256_max_ps(zero, a1);
                 }
             }
             if (masked) {
@@ -325,7 +328,7 @@ constexpr std::size_t kZmmRows = 12;
  * vector are loaded or stored — masked, so the tile never touches a
  * column past the block and needs no narrower column path. The
  * epilogues run the AVX2 kernel's ops lane for lane: add bias (when
- * @p bias is non-null), max with +0 (if @p relu), and a > 0 compare of
+ * @p bias is non-null), max(0, acc) (if @p relu), and a > 0 compare of
  * the mask that keeps the accumulator's bits or stores +0.0f.
  */
 template <std::size_t R, std::size_t V>
@@ -367,7 +370,7 @@ zmmTile(const float* RECSIM_RESTRICT ab, std::size_t a_rs,
                 // undefined source that -Wmaybe-uninitialized flags.
                 if (relu)
                     acc[r][v] =
-                        _mm512_maskz_max_ps(lanes[v], acc[r][v], zero);
+                        _mm512_maskz_max_ps(lanes[v], zero, acc[r][v]);
             }
         }
     }

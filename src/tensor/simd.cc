@@ -1,10 +1,13 @@
 #include "tensor/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -199,6 +202,135 @@ sgdSpanAvx2(float* p, const float* g, std::size_t n, float lr)
 
 #endif // RECSIM_SIMD_X86
 
+/** The pairwise-dot loop the vector tiers must reproduce. */
+inline void
+pairwiseDotsScalar(const float* const* rows, std::size_t f,
+                   std::size_t d, float* out)
+{
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < f; ++i) {
+        for (std::size_t j = i + 1; j < f; ++j) {
+            float acc = 0.0f;
+            for (std::size_t k = 0; k < d; ++k)
+                acc += rows[i][k] * rows[j][k];
+            out[off++] = acc;
+        }
+    }
+}
+
+#if defined(RECSIM_SIMD_X86)
+
+/**
+ * Rows in flight per k pass: R independent add chains (one per row)
+ * share each chunk load, enough to hide the add latency on the vector
+ * ports, and R + 2 registers fit the 16 ymm.
+ */
+constexpr std::size_t kDotRows = 8;
+
+/** Index of the first dot of row @p i in an example's output. */
+inline std::size_t
+rowOffset(std::size_t i, std::size_t f)
+{
+    return i * f - i * (i + 1) / 2;
+}
+
+/**
+ * Computes rows [i0, i0 + R) of the pairwise dots against one 8-lane
+ * chunk of the transposed scratch @p t (t[k * ft + j] = rows[j][k]):
+ * the partners j in [j0, j0 + 8). The lanes i < j < f of each row are
+ * stored at the dots' places in @p out. One function per row count, so
+ * the R accumulators stay in registers.
+ */
+template <std::size_t R>
+__attribute__((target("avx2,fma"))) void
+dotRowsAvx2(const float* t, std::size_t ft, std::size_t d, std::size_t f,
+            std::size_t i0, std::size_t j0, float* out)
+{
+    __m256 acc[R];
+    for (std::size_t r = 0; r < R; ++r)
+        acc[r] = _mm256_setzero_ps();
+    const float* tk = t;
+    for (std::size_t k = 0; k < d; ++k, tk += ft) {
+        const __m256 b = _mm256_loadu_ps(tk + j0);
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = _mm256_add_ps(
+                acc[r], _mm256_mul_ps(_mm256_broadcast_ss(tk + i0 + r), b));
+    }
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (std::size_t r = 0; r < R; ++r) {
+        // The lanes of partners i < j < f, [lo, hi) of the chunk, go to
+        // out + rowOffset(i) + j - i - 1: lane lo is shifted down to
+        // lane 0 for a masked store of hi - lo lanes, so no address
+        // before the row's first dot is formed.
+        const std::size_t i = i0 + r;
+        const std::size_t lo = std::max(j0, i + 1);
+        const std::size_t hi = std::min(j0 + 8, f);
+        if (lo >= hi)
+            continue;
+        const __m256 v = _mm256_permutevar8x32_ps(
+            acc[r],
+            _mm256_add_epi32(iota, _mm256_set1_epi32(int(lo - j0))));
+        const __m256i keep =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(int(hi - lo)), iota);
+        _mm256_maskstore_ps(out + rowOffset(i, f) + lo - i - 1, keep, v);
+    }
+}
+
+using DotRowsFn = void (*)(const float*, std::size_t, std::size_t,
+                           std::size_t, std::size_t, std::size_t, float*);
+
+/** dotRowsAvx2<R> for R = 1 .. kDotRows, indexed by R - 1. */
+template <std::size_t... R>
+constexpr std::array<DotRowsFn, kDotRows>
+dotRowsTable(std::index_sequence<R...>)
+{
+    return {{&dotRowsAvx2<R + 1>...}};
+}
+
+constexpr auto kDotRowsAvx2 =
+    dotRowsTable(std::make_index_sequence<kDotRows>());
+
+/**
+ * The calling thread's transposed scratch, at least @p n floats. It
+ * only grows, so steady-state calls do not allocate.
+ */
+float*
+dotScratch(std::size_t n)
+{
+    thread_local std::vector<float> scratch;
+    if (scratch.size() < n)
+        scratch.resize(n);
+    return scratch.data();
+}
+
+/**
+ * The vector tiers' pairwise dots of one example over 8-lane chunks.
+ * The vectors are copied once into the scratch, transposed:
+ * t[k * ft + j] = rows[j][k], a pure copy, so every bit moves
+ * unchanged. The pad columns f <= j < ft keep whatever the scratch
+ * held; their lanes are computed and never stored. Chunk j0 (partners
+ * j in [j0, j0 + 8)) is computed for the rows that have a partner in
+ * it, i < min(j0 + 8, f) - 1, in blocks of up to kDotRows rows.
+ */
+void
+pairwiseDotsAvx2(const float* const* rows, std::size_t f, std::size_t d,
+                 float* out)
+{
+    const std::size_t ft = (f + 7) / 8 * 8;
+    float* t = dotScratch(ft * d);
+    for (std::size_t k = 0; k < d; ++k)
+        for (std::size_t j = 0; j < f; ++j)
+            t[k * ft + j] = rows[j][k];
+    for (std::size_t j0 = 0; j0 < f; j0 += 8) {
+        const std::size_t r_end = std::min(j0 + 8, f) - 1;
+        for (std::size_t i = 0; i < r_end; i += kDotRows)
+            kDotRowsAvx2[std::min(kDotRows, r_end - i) - 1](t, ft, d, f, i,
+                                                            j0, out);
+    }
+}
+
+#endif // RECSIM_SIMD_X86
+
 } // namespace
 
 const char*
@@ -329,6 +461,19 @@ sgdSpan(float* p, const float* g, std::size_t n, float lr)
     }
 #endif
     sgdScalar(p, g, 0, n, lr);
+}
+
+void
+pairwiseDotsSpan(const float* const* rows, std::size_t f, std::size_t d,
+                 float* out)
+{
+#if defined(RECSIM_SIMD_X86)
+    if (activeTier() != Tier::Scalar && f > 1 && d > 0) {
+        pairwiseDotsAvx2(rows, f, d, out);
+        return;
+    }
+#endif
+    pairwiseDotsScalar(rows, f, d, out);
 }
 
 } // namespace simd

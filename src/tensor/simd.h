@@ -9,17 +9,18 @@
  *  - scalar: the portable loops;
  *  - avx2:   AVX2/FMA kernels for the GEMM core and every span kernel;
  *  - avx512: an AVX-512F (zmm) GEMM register tile; the span kernels
- *            (sigmoid, ReLU mask, dense Adagrad/SGD) and the column
- *            sums keep their AVX2 versions at this tier.
+ *            (sigmoid, ReLU mask, dense Adagrad/SGD, pairwise dots) and
+ *            the column sums keep their AVX2 versions at this tier.
  * The tier is the highest the CPU supports (`__builtin_cpu_supports`),
  * capped by RECSIM_SIMD=scalar|avx2|avx512 when that is set (see
  * configuredTier()); CI runs the suite under each cap. Every kernel
- * computes bit-identical results at every tier on non-NaN data (a NaN
- * through the GEMM's ReLU epilogue stays NaN only at the scalar tier):
- * the scalar fallbacks use std::fma where the vector code uses vfmadd,
- * and all paths share the per-element operation order documented on
- * each kernel, so switching tiers — like switching thread counts —
- * never changes a single bit.
+ * computes bit-identical results at every tier: the scalar fallbacks
+ * use std::fma where the vector code uses vfmadd, and all paths share
+ * the per-element operation order documented on each kernel, so
+ * switching tiers — like switching thread counts — never changes a
+ * single bit. A NaN output is NaN at every tier (the GEMM's ReLU
+ * epilogue keeps it, as std::max(acc, 0.0f) does); only its payload
+ * may differ.
  *
  * Fast exp: a Cephes-style degree-5 polynomial after base-2 range
  * reduction, max relative error <= 1e-6 against libm over the clamped
@@ -119,6 +120,29 @@ void adagradSpan(float* p, float* acc, const float* g, std::size_t n,
  * subtract per element (not fused), bit-identical across paths.
  */
 void sgdSpan(float* p, const float* g, std::size_t n, float lr);
+
+/**
+ * One example's pairwise dot products (the DLRM dot interaction): for
+ * the @p f vectors rows[0 .. f) of @p d floats each, writes the
+ * f * (f - 1) / 2 dots of the pairs i < j to @p out, i-major —
+ * <v0, v1>, <v0, v2>, ..., <v0, v_{f-1}>, <v1, v2>, ... Each dot is
+ * exactly the fold
+ *   float acc = 0.0f;
+ *   for (k = 0; k < d; ++k) acc += rows[i][k] * rows[j][k];
+ * one rounded multiply and one rounded add per term, never an fma.
+ * The scalar tier is that loop. The vector tiers put the partner
+ * vectors j in lanes: they copy the example's vectors once into a
+ * thread-local transposed [d x F_pad] scratch (F rounded up to a
+ * multiple of 8), broadcast rows[i][k] for up to 8 rows against one
+ * 8-lane chunk of partners per k pass, so 8 add chains overlap, and
+ * mask the stores to the lanes i < j < f.
+ * Every lane runs the same fold, so every tier gives the same bits; an
+ * input NaN or Inf gives NaN at the same outputs, whose payloads may
+ * differ. The scratch only grows, so steady-state calls do not
+ * allocate. No threading — callers chunk examples via parallelFor.
+ */
+void pairwiseDotsSpan(const float* const* rows, std::size_t f,
+                      std::size_t d, float* out);
 
 } // namespace simd
 } // namespace tensor

@@ -668,5 +668,289 @@ TEST(OptimizerDeath, NonPositiveLrPanics)
     EXPECT_DEATH(Adagrad(-1.0f), "positive");
 }
 
+// ---- Dot interaction kernel ----------------------------------------
+
+/**
+ * DotInteraction::forward as it was written before it moved onto
+ * tensor::simd::pairwiseDotsSpan, kept as the oracle: every tier and
+ * pool size must reproduce it bit for bit.
+ */
+void
+dotForwardLoop(const Tensor& dense, const std::vector<Tensor>& embs,
+               Tensor& out)
+{
+    const std::size_t b = dense.rows();
+    const std::size_t d = dense.cols();
+    const std::size_t f = embs.size() + 1;
+    out = Tensor(b, DotInteraction::outWidth(embs.size(), d));
+    std::vector<const float*> vec(f);
+    for (std::size_t ex = 0; ex < b; ++ex) {
+        vec[0] = dense.row(ex);
+        for (std::size_t s = 0; s < embs.size(); ++s)
+            vec[s + 1] = embs[s].row(ex);
+        float* orow = out.row(ex);
+        std::memcpy(orow, vec[0], d * sizeof(float));
+        std::size_t off = d;
+        for (std::size_t i = 0; i < f; ++i) {
+            for (std::size_t j = i + 1; j < f; ++j) {
+                float acc = 0.0f;
+                for (std::size_t k = 0; k < d; ++k)
+                    acc += vec[i][k] * vec[j][k];
+                orow[off++] = acc;
+            }
+        }
+    }
+}
+
+/**
+ * DotInteraction::backward and backwardFused's per-example walk before
+ * they shared one scatter: @p g holds the pairwise grads from column
+ * @p col0, and a pass-through of the first @p col0 columns into
+ * d_dense comes first when @p col0 > 0. d_dense is zeroed first only
+ * when @p zero_dense (backward); backwardFused accumulates into it.
+ */
+void
+dotBackwardLoop(const Tensor& dense, const std::vector<Tensor>& embs,
+                const Tensor& g, std::size_t col0, bool zero_dense,
+                Tensor& d_dense, std::vector<Tensor>& d_embs)
+{
+    const std::size_t b = dense.rows();
+    const std::size_t d = dense.cols();
+    const std::size_t f = embs.size() + 1;
+    if (zero_dense)
+        d_dense = Tensor(b, d);
+    d_embs.assign(embs.size(), Tensor(b, d));
+    std::vector<const float*> vec(f);
+    std::vector<float*> dvec(f);
+    for (std::size_t ex = 0; ex < b; ++ex) {
+        vec[0] = dense.row(ex);
+        dvec[0] = d_dense.row(ex);
+        for (std::size_t s = 0; s < embs.size(); ++s) {
+            vec[s + 1] = embs[s].row(ex);
+            dvec[s + 1] = d_embs[s].row(ex);
+        }
+        const float* dyrow = g.row(ex);
+        for (std::size_t k = 0; k < col0; ++k)
+            dvec[0][k] += dyrow[k];
+        std::size_t off = col0;
+        for (std::size_t i = 0; i < f; ++i) {
+            for (std::size_t j = i + 1; j < f; ++j) {
+                const float gv = dyrow[off++];
+                if (gv == 0.0f)
+                    continue;
+                for (std::size_t k = 0; k < d; ++k) {
+                    dvec[i][k] += gv * vec[j][k];
+                    dvec[j][k] += gv * vec[i][k];
+                }
+            }
+        }
+    }
+}
+
+/**
+ * [rows, cols] of normal floats over a few decades in which every
+ * seventh element is an edge value: a signed zero, a denormal, or the
+ * smallest normal.
+ */
+Tensor
+edgeMatrix(std::size_t rows, std::size_t cols, uint64_t seed)
+{
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    constexpr float kNormMin = std::numeric_limits<float>::min();
+    const float edges[] = {-0.0f, 0.0f,  kDenorm,  -3e-39f,
+                           1e-40f, kNormMin, -kNormMin};
+    util::Rng rng(seed);
+    Tensor t(rows, cols);
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t.data()[i] = i % 7 == 3
+            ? edges[(i / 7) % 7]
+            : static_cast<float>(rng.normal() *
+                                 std::pow(10.0, rng.uniform(-3.0, 3.0)));
+    return t;
+}
+
+/** The F vectors of a batch: a dense [b, d] and F - 1 embeddings. */
+struct DotInputs
+{
+    Tensor dense;
+    std::vector<Tensor> embs;
+};
+
+DotInputs
+dotInputs(std::size_t b, std::size_t f, std::size_t d, uint64_t seed)
+{
+    DotInputs in{edgeMatrix(b, d, seed), {}};
+    for (std::size_t s = 0; s + 1 < f; ++s)
+        in.embs.push_back(edgeMatrix(b, d, seed * 131 + s + 1));
+    return in;
+}
+
+/** Same shape and the same bits. */
+bool
+sameBits(const Tensor& a, const Tensor& b)
+{
+    return a.sameShape(b) &&
+        (a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/** Both NaN, or the same bits. */
+bool
+sameOrBothNan(float a, float b)
+{
+    return (std::isnan(a) && std::isnan(b)) ||
+        std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(DotInteraction, KernelAndForwardMatchLiteralLoopAtPool1And8)
+{
+    // F around the 8-lane chunk edges at 16 and 32, up to M3's 128
+    // vectors; d from one float through odd widths to the serve
+    // replica's 64. 37 examples, so pool 8 cuts the larger shapes into
+    // several chunks.
+    constexpr std::size_t kBatch = 37;
+    PoolSizeGuard guard;
+    const DotInteraction dot;
+    for (const std::size_t f : {1, 2, 15, 16, 17, 31, 33, 128}) {
+        for (const std::size_t d : {1, 7, 16, 17, 64}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "F = " << f << ", d = " << d);
+            const DotInputs in = dotInputs(kBatch, f, d, 1000 * f + d);
+            Tensor want;
+            dotForwardLoop(in.dense, in.embs, want);
+
+            // The kernel alone, one example at a time.
+            const std::size_t pairs = f * (f - 1) / 2;
+            std::vector<const float*> vec(f);
+            std::vector<float> dots(pairs);
+            bool kernel_equal = true;
+            for (std::size_t ex = 0; ex < kBatch; ++ex) {
+                vec[0] = in.dense.row(ex);
+                for (std::size_t s = 0; s + 1 < f; ++s)
+                    vec[s + 1] = in.embs[s].row(ex);
+                tensor::simd::pairwiseDotsSpan(vec.data(), f, d,
+                                               dots.data());
+                kernel_equal = kernel_equal &&
+                    (pairs == 0 ||
+                     std::memcmp(dots.data(), want.row(ex) + d,
+                                 pairs * sizeof(float)) == 0);
+            }
+            EXPECT_TRUE(kernel_equal) << "pairwiseDotsSpan";
+
+            for (const std::size_t threads : {1, 8}) {
+                util::globalThreadPool().resize(threads);
+                Tensor got;
+                dot.forward(in.dense, in.embs, got);
+                EXPECT_TRUE(sameBits(got, want))
+                    << "forward at pool " << threads;
+            }
+        }
+    }
+}
+
+TEST(DotInteraction, NonFiniteInputsGiveNanAtTheSamePositions)
+{
+    // One quiet NaN, or a +Inf and a -Inf (whose products meet zeros
+    // and each other), must turn exactly the oracle's outputs into NaN
+    // at every tier; the other outputs keep their bits.
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    PoolSizeGuard guard;
+    const DotInteraction dot;
+    for (const std::size_t f : {2, 17, 31, 128}) {
+        for (const bool nan : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "F = " << f << (nan ? ", NaN" : ", Inf"));
+            constexpr std::size_t kBatch = 9, kDim = 17;
+            DotInputs in = dotInputs(kBatch, f, kDim, 77 + f);
+            if (nan) {
+                in.embs[f / 2 - 1].at(4, 5) = kNan;
+            } else {
+                in.dense.at(2, 3) = kInf;
+                in.embs[f - 2].at(2, 3) = 0.0f;
+                in.embs[0].at(6, 16) = -kInf;
+                in.embs[f - 2].at(6, 16) = kInf;
+            }
+            Tensor want;
+            dotForwardLoop(in.dense, in.embs, want);
+            std::size_t nans = 0;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                nans += std::isnan(want.data()[i]) ? 1 : 0;
+            EXPECT_GT(nans, 0u);
+            for (const std::size_t threads : {1, 8}) {
+                util::globalThreadPool().resize(threads);
+                Tensor got;
+                dot.forward(in.dense, in.embs, got);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    EXPECT_TRUE(
+                        sameOrBothNan(got.data()[i], want.data()[i]))
+                        << "pool " << threads << ", element " << i
+                        << ": " << got.data()[i] << " vs "
+                        << want.data()[i];
+            }
+        }
+    }
+}
+
+TEST(DotInteraction, BackwardsMatchLiteralLoopsIncludingZeroGrads)
+{
+    // Every third pairwise grad is zero (skipped), one example's grads
+    // are all zero, and one is a -0.0 (also skipped: -0.0 == 0.0). The
+    // all-zero example carries an Inf, which only the skip keeps out of
+    // the gradients (0 * Inf is NaN).
+    constexpr std::size_t kBatch = 11;
+    const DotInteraction dot;
+    for (const std::size_t f : {1, 2, 17, 31}) {
+        for (const std::size_t d : {1, 17, 64}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "F = " << f << ", d = " << d);
+            DotInputs in = dotInputs(kBatch, f, d, 500 + 10 * f + d);
+            if (f > 1)
+                in.embs[f - 2].at(4, d - 1) =
+                    std::numeric_limits<float>::infinity();
+            const std::size_t pairs = f * (f - 1) / 2;
+            Tensor dy = edgeMatrix(kBatch, d + pairs, 900 + f);
+            for (std::size_t ex = 0; ex < kBatch; ++ex)
+                for (std::size_t c = d; c < d + pairs; ++c)
+                    if (ex == 4 || (c + ex) % 3 == 0)
+                        dy.at(ex, c) = 0.0f;
+            if (pairs > 0)
+                dy.at(1, d) = -0.0f;
+
+            Tensor want_dense;
+            std::vector<Tensor> want_embs;
+            dotBackwardLoop(in.dense, in.embs, dy, d, true, want_dense,
+                            want_embs);
+            Tensor d_dense;
+            std::vector<Tensor> d_embs;
+            dot.backward(in.dense, in.embs, dy, d_dense, d_embs);
+            EXPECT_TRUE(sameBits(d_dense, want_dense)) << "backward d_dense";
+            ASSERT_EQ(d_embs.size(), want_embs.size());
+            for (std::size_t s = 0; s < d_embs.size(); ++s)
+                EXPECT_TRUE(sameBits(d_embs[s], want_embs[s]))
+                    << "backward d_embs[" << s << "]";
+
+            // backwardFused: compact pairwise grads, accumulating into a
+            // d_dense that already holds the pass-through.
+            Tensor d_pairs(kBatch, pairs);
+            for (std::size_t ex = 0; ex < kBatch; ++ex)
+                for (std::size_t c = 0; c < pairs; ++c)
+                    d_pairs.at(ex, c) = dy.at(ex, d + c);
+            const Tensor pass = edgeMatrix(kBatch, d, 950 + f);
+            Tensor want_fused = pass;
+            dotBackwardLoop(in.dense, in.embs, d_pairs, 0, false,
+                            want_fused, want_embs);
+            Tensor fused = pass;
+            dot.backwardFused(in.dense, in.embs, d_pairs, fused, d_embs);
+            EXPECT_TRUE(sameBits(fused, want_fused))
+                << "backwardFused d_dense";
+            for (std::size_t s = 0; s < d_embs.size(); ++s)
+                EXPECT_TRUE(sameBits(d_embs[s], want_embs[s]))
+                    << "backwardFused d_embs[" << s << "]";
+        }
+    }
+}
+
 } // namespace
 } // namespace recsim::nn

@@ -4,23 +4,19 @@
  * (bit-reproducibility across runs and thread-pool sizes, Poisson
  * inter-arrival mean, diurnal modulation integrating back to the mean
  * rate), invariant tests for the dynamic batching scheduler (deadline,
- * caps, FIFO, starvation freedom), a replay smoke test over the real
- * inference engine, and a TSan-matrix test of the thread-safe latency
- * recorder the serving path records completions through.
+ * caps, FIFO, starvation freedom) and a replay smoke test over the real
+ * inference engine.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/load_gen.h"
 #include "serve/scheduler.h"
-#include "stats/sample_set.h"
 #include "util/thread_pool.h"
 
 namespace recsim::serve {
@@ -492,48 +488,6 @@ TEST(InferenceEngine, ServesForwardOnlyGraph)
     const double service = engine.scoreBatch(mb);
     EXPECT_GE(service, 0.0);
     EXPECT_EQ(engine.logits().rows(), 17u);
-}
-
-// ---------------------------------------------------------------
-// Thread-safe latency recording (the TSan-matrix test)
-// ---------------------------------------------------------------
-
-TEST(ConcurrentSampleSet, ConcurrentRecordingLosesNothing)
-{
-    // Worker threads retiring batches record completions into one
-    // shared recorder; under the TSan CI matrix this doubles as the
-    // race test for the serving path's latency accumulation.
-    stats::ConcurrentSampleSet recorder;
-    auto& metrics = obs::MetricsRegistry::global();
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 5000;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&recorder, &metrics, t] {
-            for (int i = 0; i < kPerThread; ++i) {
-                recorder.add(static_cast<double>(t) + 1.0);
-                metrics.observe("serve.test_latency_s", 0.001);
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-
-    ASSERT_EQ(recorder.size(),
-              static_cast<std::size_t>(kThreads * kPerThread));
-    const auto snap = recorder.snapshot();
-    double sum = 0.0;
-    for (double v : snap.values())
-        sum += v;
-    // Sum of t+1 over threads, kPerThread each: (1+2+3+4) * 5000.
-    EXPECT_DOUBLE_EQ(sum, 10.0 * kPerThread);
-    EXPECT_EQ(
-        metrics.timing("serve.test_latency_s").count() % kPerThread,
-        0u);
-    const auto tail = recorder.tail();
-    EXPECT_EQ(tail.count, recorder.size());
-    EXPECT_DOUBLE_EQ(tail.max, 4.0);
 }
 
 } // namespace

@@ -283,16 +283,6 @@ TEST(TailSummary, HandComputedFields)
     EXPECT_DOUBLE_EQ(empty.max, 0.0);
 }
 
-TEST(ConcurrentSampleSet, SnapshotMatchesSequentialAdds)
-{
-    ConcurrentSampleSet c;
-    for (int i = 1; i <= 5; ++i)
-        c.add(static_cast<double>(i));
-    EXPECT_EQ(c.size(), 5u);
-    EXPECT_DOUBLE_EQ(c.snapshot().mean(), 3.0);
-    EXPECT_DOUBLE_EQ(c.tail().p50, 3.0);
-}
-
 TEST(Correlation, PerfectPositive)
 {
     const std::vector<double> x = {1, 2, 3, 4, 5};

@@ -628,24 +628,44 @@ class GemmTileEdges
 {
 };
 
-TEST_P(GemmTileEdges, EveryEntryPointMatchesContractAtPool1And8)
+/**
+ * Operands of one GemmTileEdges shape: A [m, k], B [k, n], a bias over
+ * the n columns and a dReLU mask [m, n] with a -0.0 and a +0.0 corner.
+ */
+struct GemmOperands
 {
-    // Each entry point is fed the operand layout it expects (A^T for
-    // the transposed-A kernels, B^T for the transposed-B ones) and must
-    // reproduce the literal fma fold bit for bit — with the epilogue,
-    // mask, bias-grad and segment split applied to the fold's result —
-    // whatever tiles the shape is cut into and however many threads
-    // run them.
-    const auto [m, k, n] = GetParam();
-    const Tensor a = randomMatrix(m, k, 100 + m);
-    const Tensor b = randomMatrix(k, n, 200 + n);
-    const Tensor at = transposed(a), bt = transposed(b);
+    Tensor a, b, bias, mask;
+};
+
+GemmOperands
+gemmOperands(std::size_t m, std::size_t k, std::size_t n)
+{
+    GemmOperands op{randomMatrix(m, k, 100 + m), randomMatrix(k, n, 200 + n),
+                    Tensor(n), randomMatrix(m, n, 400 + k)};
     util::Rng rng(300 + k);
-    Tensor bias(n);
-    bias.fillNormal(rng, 1.0f);
-    Tensor mask = randomMatrix(m, n, 400 + k);
-    mask.at(0, 0) = -0.0f;
-    mask.at(m - 1, n - 1) = 0.0f;
+    op.bias.fillNormal(rng, 1.0f);
+    op.mask.at(0, 0) = -0.0f;
+    op.mask.at(m - 1, n - 1) = 0.0f;
+    return op;
+}
+
+/**
+ * Each entry point is fed the operand layout it expects (A^T for the
+ * transposed-A kernels, B^T for the transposed-B ones) and must
+ * reproduce the literal fma fold bit for bit — with the epilogue (the
+ * ReLU as std::max(acc, 0.0f)), mask, bias-grad and segment split
+ * applied to the fold's result — whatever tiles the shape is cut into
+ * and however many threads run them.
+ */
+void
+expectEveryEntryPointMatchesContract(const GemmOperands& op)
+{
+    const Tensor& a = op.a;
+    const Tensor& b = op.b;
+    const Tensor& bias = op.bias;
+    const Tensor& mask = op.mask;
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    const Tensor at = transposed(a), bt = transposed(b);
 
     const Tensor want = contractMatmul(a, b);
     Tensor want_bias(m, n), want_relu(m, n), want_mask(m, n);
@@ -709,6 +729,35 @@ TEST_P(GemmTileEdges, EveryEntryPointMatchesContractAtPool1And8)
         }
         EXPECT_TRUE(segments_equal) << "segmented";
     }
+}
+
+TEST_P(GemmTileEdges, EveryEntryPointMatchesContractAtPool1And8)
+{
+    const auto [m, k, n] = GetParam();
+    expectEveryEntryPointMatchesContract(gemmOperands(m, k, n));
+}
+
+TEST_P(GemmTileEdges, NanInputStaysNanThroughEpiloguesAtPool1And8)
+{
+    // A quiet NaN in A makes its output row NaN; the bias+ReLU epilogue
+    // keeps it, as std::max(NaN, 0.0f) does, at every tier. A NaN mask
+    // element fails the > 0 compare and stores +0.0f.
+    const auto [m, k, n] = GetParam();
+    GemmOperands op = gemmOperands(m, k, n);
+    op.a.at(m / 2, k / 2) = std::numeric_limits<float>::quiet_NaN();
+    op.mask.at(m - 1, 0) = std::numeric_limits<float>::quiet_NaN();
+    expectEveryEntryPointMatchesContract(op);
+}
+
+TEST_P(GemmTileEdges, InfInputMatchesContractAtPool1And8)
+{
+    // +Inf and -Inf in A give signed-infinite output rows (or NaN where
+    // they meet in one row), which the ReLU clamps or keeps.
+    const auto [m, k, n] = GetParam();
+    GemmOperands op = gemmOperands(m, k, n);
+    op.a.at(0, k - 1) = std::numeric_limits<float>::infinity();
+    op.a.at(m - 1, 0) = -std::numeric_limits<float>::infinity();
+    expectEveryEntryPointMatchesContract(op);
 }
 
 // Shapes that cross the tiling's edges: output widths one under, at
