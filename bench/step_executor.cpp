@@ -1,22 +1,22 @@
 /**
  * @file
  * Step-executor benchmark with a serial-equivalence gate. Runs one
- * training step of a small DLRM two ways — the serial runGraphStep
- * walk and the dependency-aware GraphExecutor — at pool sizes 1/2/4/8,
- * verifies the executor's losses stay bitwise-identical to the serial
- * walk at every thread count, reports the graph's wavefront occupancy
- * (how many nodes each level can run concurrently), and emits
- * BENCH_step_executor.json for CI to diff and gate on. An
- * overlap-efficiency sweep over representative placements rides along:
- * critical path / serial sum of the analytical per-node times, the
- * figure the cost model now reports per config.
+ * training step of a small DLRM through GraphExecutor's two schedules
+ * — serial (one node per wave in node order) and the dependency-aware
+ * waves — at pool sizes 1/2/4/8, verifies the waves' losses stay
+ * bitwise-identical to the serial schedule's at every thread count,
+ * reports the graph's wavefront occupancy (how many nodes each level
+ * can run concurrently), and emits BENCH_step_executor.json for CI to
+ * diff and gate on. An overlap-efficiency sweep over representative
+ * placements rides along: critical path / serial sum of the analytical
+ * per-node times, the figure the cost model now reports per config.
  *
- * A telemetry-overhead measurement rides along: the serial walk runs
- * again with the flight recorder, a rolling step-time histogram and
- * the periodic JSONL sampler all live, and the JSON reports the
- * enabled/disabled ratio CI gates at < 2% (ISSUE: the recorder must be
- * cheap enough to leave on). --telemetry PATH writes the sampler's
- * JSONL lines for the CI schema gate.
+ * A telemetry-overhead measurement rides along: the serial schedule
+ * runs again with the flight recorder, a rolling step-time histogram
+ * and the periodic JSONL sampler all live, and the JSON reports the
+ * enabled/disabled ratio CI gates at < 2% (the recorder must be cheap
+ * enough to leave on). --telemetry PATH writes the sampler's JSONL
+ * lines for the CI schema gate.
  *
  * Usage: step_executor [--json PATH] [--telemetry PATH] [--quick]
  *                      [--trace out.json]
@@ -79,21 +79,20 @@ measureExamplesPerSec(F&& fn, double examples_per_iter,
 }
 
 /**
- * Train @p steps with the serial walk and with the executor (separate
- * same-seed models, same batches) and report whether every per-step
- * loss matches bitwise.
+ * Train one step per batch with the serial schedule and with the
+ * waves (separate same-seed models, same batches) and report whether
+ * every per-step loss matches bitwise.
  */
 bool
 lossesBitwiseEqual(const model::DlrmConfig& cfg,
-                   const graph::StepGraph& graph,
+                   const train::GraphExecutor& serial,
                    const train::GraphExecutor& executor,
                    const std::vector<data::MiniBatch>& batches)
 {
     model::Dlrm serial_model(cfg, 1);
     model::Dlrm exec_model(cfg, 1);
     for (const auto& batch : batches) {
-        const double a =
-            train::runGraphStep(serial_model, batch, graph);
+        const double a = serial.runStep(serial_model, batch);
         const double b = executor.runStep(exec_model, batch);
         if (std::memcmp(&a, &b, sizeof(double)) != 0)
             return false;
@@ -155,6 +154,8 @@ main(int argc, char** argv)
     const auto cfg = model::applyMixedDimensions(
         model::DlrmConfig::tinyReplica(8, 13, 2000, 16), 0.5, 4);
     const graph::StepGraph graph = graph::buildModelStepGraph(cfg);
+    const train::GraphExecutor serial =
+        train::GraphExecutor::serial(graph);
     const train::GraphExecutor executor(graph);
 
     data::DatasetConfig ds_cfg;
@@ -188,7 +189,7 @@ main(int argc, char** argv)
     pool.resize(1);
     const double serial_eps = measureExamplesPerSec(
         [&] {
-            train::runGraphStep(serial_model, mb, graph);
+            serial.runStep(serial_model, mb);
             serial_model.zeroGrad();
         },
         static_cast<double>(batch), min_seconds);
@@ -210,7 +211,7 @@ main(int argc, char** argv)
             },
             static_cast<double>(batch), min_seconds);
         r.loss_equal =
-            lossesBitwiseEqual(cfg, graph, executor, check_batches);
+            lossesBitwiseEqual(cfg, serial, executor, check_batches);
         results.push_back(r);
         std::cout << util::format(
             "executor {}t      {} examples/s  (vs serial {})  "
@@ -266,7 +267,7 @@ main(int argc, char** argv)
         }
     }
 
-    // Telemetry overhead: the same serial walk with the whole
+    // Telemetry overhead: the same serial schedule with the whole
     // observability pipeline live — the flight recorder sampling every
     // node dispatch, a rolling step-time histogram fed each step, and
     // the periodic sampler emitting JSONL in the background — vs the
@@ -314,13 +315,13 @@ main(int argc, char** argv)
              ++round) {
             recorder.setEnabled(false);
             double t0 = nowSeconds();
-            train::runGraphStep(tm, telemetry_mb, graph);
+            serial.runStep(tm, telemetry_mb);
             tm.zeroGrad();
             const double dt_off = nowSeconds() - t0;
             total += dt_off;
             recorder.setEnabled(true);
             t0 = nowSeconds();
-            train::runGraphStep(tm, telemetry_mb, graph);
+            serial.runStep(tm, telemetry_mb);
             tm.zeroGrad();
             const double dt_on = nowSeconds() - t0;
             step_hist.add(t0 - origin, dt_on);

@@ -23,8 +23,8 @@
  *
  * Consumers: cost/IterationModel folds phase times over the nodes,
  * sim/dist_sim schedules the nodes as DES events, and
- * train/runGraphStep executes the real nn layers node by node (tagging
- * obs spans with the node ids). bench/validation_graph_breakdown lines
+ * train::GraphExecutor executes the real nn layers node by node
+ * (tagging obs spans with the node ids). bench/validation_graph_breakdown lines
  * the three up per node. placement::TableCosts reads the same specs
  * with the same expressions as the embedding-node annotations, so the
  * planner prices tables without lowering a graph.

@@ -326,14 +326,6 @@ Dlrm::backwardEmbedding(std::size_t f, const data::MiniBatch& batch)
 }
 
 void
-Dlrm::backwardEmbeddingGroup(const std::vector<int>& group,
-                             const data::MiniBatch& batch)
-{
-    for (int fi : group)
-        backwardEmbedding(static_cast<std::size_t>(fi), batch);
-}
-
-void
 Dlrm::runForwardGraph(const data::MiniBatch& batch)
 {
     {

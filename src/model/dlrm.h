@@ -59,9 +59,11 @@ class Dlrm
     // forward/backwardBottomLayer pair, emb.t{f} -> *Embedding,
     // proj.t{f} -> *Projection, and so on. Visiting the nodes in graph
     // order (reversed for the backward half) reproduces forward() /
-    // forwardBackward() exactly — that walk lives in
-    // train::runGraphStep, which tags an obs span with each node id.
-    // Each primitive assumes the ones its node depends on already ran.
+    // forwardBackward() exactly — that walk is
+    // train::GraphExecutor::serial(), whose dispatch tags an obs span
+    // with each node id; a grouped lookup node runs each member's
+    // backwardEmbedding in group order. Each primitive assumes the
+    // ones its node depends on already ran.
     // The MLP/projection primitives take @p fused from the node's
     // fused_epilogue flag (graph::fusePass): the bias (+ ReLU) runs as
     // the GEMM's epilogue. Bitwise identical either way.
@@ -105,19 +107,6 @@ class Dlrm
                              bool fused = false);
     void backwardProjection(std::size_t f, bool fused = false);
     void backwardEmbedding(std::size_t f, const data::MiniBatch& batch);
-    /**
-     * Backward of a fused EmbeddingLookup node: runs each member's
-     * backwardEmbedding in group order (each is internally parallel) —
-     * bit-identical to the unfused walk.
-     */
-    void backwardEmbeddingGroup(const std::vector<int>& group,
-                                const data::MiniBatch& batch);
-
-    /** True when table @p f projects up to the shared width. */
-    bool hasProjection(std::size_t f) const
-    {
-        return projections_[f] != nullptr;
-    }
 
     // --- Embedding storage backends -------------------------------
     // Tables default to per-instance DramBackends (the historical flat

@@ -236,19 +236,6 @@ Tracer::numOpenSpans() const
     return n;
 }
 
-std::size_t
-Tracer::numActiveThreadTracks() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    std::size_t n = 0;
-    for (const auto& track : impl_->threads) {
-        std::lock_guard<std::mutex> tlock(track->mutex);
-        if (!track->spans.empty())
-            ++n;
-    }
-    return n;
-}
-
 std::string
 Tracer::chromeTraceJson() const
 {

@@ -113,9 +113,6 @@ class Tracer
     /** Currently open (unbalanced) spans across all thread tracks. */
     std::size_t numOpenSpans() const;
 
-    /** Number of wall (thread) tracks that recorded at least 1 span. */
-    std::size_t numActiveThreadTracks() const;
-
     /** The whole trace as Chrome trace_event JSON. */
     std::string chromeTraceJson() const;
 

@@ -69,14 +69,6 @@ Histogram::binHi(std::size_t i) const
 }
 
 double
-Histogram::binCenter(std::size_t i) const
-{
-    if (scale_ == BinScale::Log10)
-        return std::sqrt(binLo(i) * binHi(i));
-    return 0.5 * (binLo(i) + binHi(i));
-}
-
-double
 Histogram::binFraction(std::size_t i) const
 {
     return total_ > 0.0 ? counts_[i] / total_ : 0.0;

@@ -53,9 +53,6 @@ class Histogram
     /** Exclusive upper edge of bin @p i. */
     double binHi(std::size_t i) const;
 
-    /** Midpoint (arithmetic for linear, geometric for log bins). */
-    double binCenter(std::size_t i) const;
-
     double totalWeight() const { return total_; }
     double underflow() const { return underflow_; }
     double overflow() const { return overflow_; }

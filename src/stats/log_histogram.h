@@ -187,9 +187,7 @@ class WindowedHistogram
     /** Record @p value at time @p t_seconds (>= 0). Thread-safe. */
     void add(double t_seconds, double value);
 
-    double windowSeconds() const { return window_s_; }
     double relativeError() const { return rel_err_; }
-    std::size_t maxWindows() const { return slots_.size(); }
 
     /** Observations clamped into the last window. */
     uint64_t clamped() const

@@ -89,16 +89,7 @@ trainHogwild(const model::DlrmConfig& model_config,
                 const std::size_t offset = begin +
                     (step * base.batch_size) % std::max(shard, 1ul);
                 batch = dataset.epochBatch(offset, base.batch_size);
-                for (std::size_t f = 0; f < batch.sparse.size(); ++f) {
-                    auto& mt = master.tables()[f];
-                    auto& rt = replica.tables()[f];
-                    for (uint64_t idx : batch.sparse[f].indices) {
-                        const auto row = static_cast<std::size_t>(
-                            idx % mt.hashSize());
-                        racy::copyRow(mt.table.row(row),
-                                      rt.table.row(row), mt.dim());
-                    }
-                }
+                racy::pullTouchedRows(master, replica, batch);
             }
 
             const double loss = replica.forwardBackward(batch);
@@ -113,17 +104,7 @@ trainHogwild(const model::DlrmConfig& model_config,
                 // master.
                 const float lr = base.learning_rate;
                 applyDenseGrads(master, replica, lr);
-                for (std::size_t f = 0; f < replica.tables().size();
-                     ++f) {
-                    const auto& grad = replica.sparseGrads()[f];
-                    auto& table = master.tables()[f];
-                    for (std::size_t r = 0; r < grad.rows.size(); ++r) {
-                        racy::pushRow(
-                            table.table.row(static_cast<std::size_t>(
-                                grad.rows[r])),
-                            grad.values.row(r), table.dim(), lr);
-                    }
-                }
+                racy::pushSparseGrads(master, replica, lr);
             }
             replica.zeroGrad();
             obs::MetricsRegistry::global().incr("hogwild.iterations");

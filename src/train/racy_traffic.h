@@ -12,7 +12,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
+#include "data/dataset.h"
+#include "model/dlrm.h"
 #include "nn/linear.h"
 #include "tensor/tensor.h"
 #include "util/thread_pool.h"
@@ -46,6 +49,43 @@ pushRow(float* row, const float* grad, std::size_t dim, float lr)
 {
     for (std::size_t j = 0; j < dim; ++j)
         row[j] -= lr * grad[j];
+}
+
+/**
+ * Pull every embedding row @p batch touches from the tables of
+ * @p shared into the same rows of @p replica. Lock-free: another
+ * worker may be pushing into the same rows.
+ */
+inline void
+pullTouchedRows(model::Dlrm& shared, model::Dlrm& replica,
+                const data::MiniBatch& batch)
+{
+    for (std::size_t f = 0; f < batch.sparse.size(); ++f) {
+        auto& st = shared.tables()[f];
+        auto& rt = replica.tables()[f];
+        for (uint64_t idx : batch.sparse[f].indices) {
+            const auto row =
+                static_cast<std::size_t>(idx % st.hashSize());
+            copyRow(st.table.row(row), rt.table.row(row), st.dim());
+        }
+    }
+}
+
+/**
+ * SGD-push every stored sparse-gradient row of @p replica into the
+ * tables of @p shared, without locking.
+ */
+inline void
+pushSparseGrads(model::Dlrm& shared, model::Dlrm& replica, float lr)
+{
+    for (std::size_t f = 0; f < replica.tables().size(); ++f) {
+        const auto& grad = replica.sparseGrads()[f];
+        auto& table = shared.tables()[f];
+        for (std::size_t r = 0; r < grad.rows.size(); ++r) {
+            pushRow(table.table.row(static_cast<std::size_t>(grad.rows[r])),
+                    grad.values.row(r), table.dim(), lr);
+        }
+    }
 }
 
 /**

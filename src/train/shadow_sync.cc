@@ -70,18 +70,7 @@ trainShadowSync(const model::DlrmConfig& model_config,
                 dataset.epochBatch(offset, base.batch_size);
 
             // Pull touched embedding rows from the shared tables.
-            // Lock-free: another worker may be pushing into the same
-            // rows (see racy_traffic.h).
-            for (std::size_t f = 0; f < batch.sparse.size(); ++f) {
-                auto& ct = center.tables()[f];
-                auto& rt = self.replica->tables()[f];
-                for (uint64_t idx : batch.sparse[f].indices) {
-                    const auto row = static_cast<std::size_t>(
-                        idx % ct.hashSize());
-                    racy::copyRow(ct.table.row(row),
-                                  rt.table.row(row), ct.dim());
-                }
-            }
+            racy::pullTouchedRows(center, *self.replica, batch);
 
             const double loss = self.replica->forwardBackward(batch);
             if (step >= tail_start) {
@@ -95,18 +84,8 @@ trainShadowSync(const model::DlrmConfig& model_config,
                 sgd.step(self.replica->topMlp());
             }
             // Sparse rows update the shared tables without locking.
-            for (std::size_t f = 0;
-                 f < self.replica->tables().size(); ++f) {
-                auto& table = center.tables()[f];
-                const auto& grad = self.replica->sparseGrads()[f];
-                for (std::size_t r = 0; r < grad.rows.size(); ++r) {
-                    racy::pushRow(
-                        table.table.row(static_cast<std::size_t>(
-                            grad.rows[r])),
-                        grad.values.row(r), table.dim(),
-                        base.learning_rate);
-                }
-            }
+            racy::pushSparseGrads(center, *self.replica,
+                                  base.learning_rate);
             self.replica->zeroGrad();
             total_steps.fetch_add(1, std::memory_order_relaxed);
         }

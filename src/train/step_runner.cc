@@ -22,42 +22,6 @@ executableNode(const graph::Node& node)
 }
 
 /**
- * Keeps one "nn.mlp.fwd"/"nn.mlp.bwd" span open across the run of Gemm
- * nodes that belong to the same MLP stack, so the graph walk emits the
- * same stack-level spans Mlp::forward()/backward() do, with the
- * per-node spans nested inside. Like TraceSpan, the begin/end pairing
- * survives the tracing flag flipping mid-span.
- */
-class MlpSpanGroup
-{
-  public:
-    ~MlpSpanGroup() { close(); }
-
-    void open(const char* name)
-    {
-        if (open_)
-            return;
-        open_ = true;
-        if (obs::Tracer::enabled()) {
-            obs::Tracer::global().beginSpan(name);
-            traced_ = true;
-        }
-    }
-
-    void close()
-    {
-        if (open_ && traced_)
-            obs::Tracer::global().endSpan();
-        open_ = false;
-        traced_ = false;
-    }
-
-  private:
-    bool open_ = false;
-    bool traced_ = false;
-};
-
-/**
  * RAII flight-recorder sample around one node dispatch: when the
  * recorder is enabled, times the enclosed work and records it on the
  * node's channel (one sample per visit — the forward and backward
@@ -68,20 +32,16 @@ class MlpSpanGroup
 class NodeSample
 {
   public:
-    /** Channel already interned (GraphExecutor's cached ids). */
+    /** @p channel is interned (the executor's cached ids). */
     NodeSample(uint32_t channel, uint64_t step, uint32_t rows)
     {
-        if (obs::recorderEnabled())
-            arm(channel, step, rows);
-    }
-
-    /** Channel known but the site may be inactive (the serial walk's
-     *  non-executable nodes, or recording off). */
-    NodeSample(bool active, uint32_t channel, uint64_t step,
-               uint32_t rows)
-    {
-        if (active)
-            arm(channel, step, rows);
+        if (!obs::recorderEnabled())
+            return;
+        recorder_ = &obs::FlightRecorder::global();
+        channel_ = channel;
+        step_ = step;
+        rows_ = rows;
+        start_ns_ = recorder_->nowNs();
     }
 
     ~NodeSample()
@@ -98,61 +58,12 @@ class NodeSample
     NodeSample& operator=(const NodeSample&) = delete;
 
   private:
-    void arm(uint32_t channel, uint64_t step, uint32_t rows)
-    {
-        recorder_ = &obs::FlightRecorder::global();
-        channel_ = channel;
-        step_ = step;
-        rows_ = rows;
-        start_ns_ = recorder_->nowNs();
-    }
-
     obs::FlightRecorder* recorder_ = nullptr;
     uint32_t channel_ = 0;
     uint32_t rows_ = 0;
     uint64_t step_ = 0;
     uint64_t start_ns_ = 0;
 };
-
-/** Step tags for serial runGraphStep() samples (no executor state). */
-std::atomic<uint64_t> g_serial_steps{0};
-
-/**
- * Channel ids for a graph's nodes, interned once and memoized: the
- * serial walk asks per step, and paying the recorder's intern mutex
- * per node visit is what the telemetry overhead budget cannot afford.
- * Keyed on identity (address + node count + last node id) so a rebuilt
- * graph re-interns; thread_local because several driver threads may
- * walk different graphs concurrently.
- */
-const std::vector<uint32_t>&
-graphNodeChannels(const graph::StepGraph& graph)
-{
-    struct Cache
-    {
-        const graph::StepGraph* graph = nullptr;
-        std::string last_id;
-        std::vector<uint32_t> channels;
-    };
-    thread_local Cache cache;
-    const bool hit = cache.graph == &graph &&
-        cache.channels.size() == graph.nodes.size() &&
-        (graph.nodes.empty() ||
-         cache.last_id == graph.nodes.back().id);
-    if (!hit) {
-        auto& recorder = obs::FlightRecorder::global();
-        cache.channels.clear();
-        cache.channels.reserve(graph.nodes.size());
-        for (const auto& node : graph.nodes)
-            cache.channels.push_back(recorder.internChannel(node.id));
-        cache.graph = &graph;
-        cache.last_id =
-            graph.nodes.empty() ? std::string() : graph.nodes.back().id;
-    }
-    return cache.channels;
-}
-
-const std::vector<uint32_t> kNoChannels;
 
 } // namespace
 
@@ -179,138 +90,20 @@ struct GraphExecutor::Optimizer
     }
 };
 
-double
-runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
-             const graph::StepGraph& graph)
+GraphExecutor::GraphExecutor(const graph::StepGraph& graph,
+                             util::ThreadPool& pool)
+    : GraphExecutor(graph, pool, /*serial=*/false)
 {
-    RECSIM_ASSERT(graph.emb_dim == model.config().emb_dim &&
-                  graph.num_dense == model.config().num_dense,
-                  "StepGraph was built for a different model config");
+}
 
-    const bool recording = obs::recorderEnabled();
-    const uint64_t step = recording
-        ? g_serial_steps.fetch_add(1, std::memory_order_relaxed)
-        : 0;
-    const uint32_t rows = static_cast<uint32_t>(batch.batchSize());
-    const std::vector<uint32_t>& channels =
-        recording ? graphNodeChannels(graph) : kNoChannels;
-
-    double loss = 0.0;
-    {
-        RECSIM_TRACE_SPAN("model.fwd");
-        MlpSpanGroup mlp;
-        for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-            const auto& node = graph.nodes[i];
-            NodeSample sample(recording && executableNode(node),
-                              recording ? channels[i] : 0, step, rows);
-            switch (node.kind) {
-              case graph::NodeKind::Gemm:
-                if (node.role == graph::GemmRole::Projection) {
-                    mlp.close();
-                    obs::TraceSpan span(node.id.c_str());
-                    model.forwardProjection(
-                        static_cast<std::size_t>(node.table),
-                        node.fused_epilogue);
-                } else {
-                    mlp.open("nn.mlp.fwd");
-                    obs::TraceSpan span(node.id.c_str());
-                    if (node.role == graph::GemmRole::BottomMlp)
-                        model.forwardBottomLayer(
-                            static_cast<std::size_t>(node.layer), batch,
-                            node.fused_epilogue);
-                    else
-                        model.forwardTopLayer(
-                            static_cast<std::size_t>(node.layer),
-                            node.fused_epilogue);
-                }
-                break;
-              case graph::NodeKind::EmbeddingLookup: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                if (!node.fused_tables.empty())
-                    model.forwardEmbeddingGroup(node.fused_tables,
-                                                batch);
-                else
-                    model.forwardEmbedding(
-                        static_cast<std::size_t>(node.table), batch);
-                break;
-              }
-              case graph::NodeKind::Interaction: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                model.forwardInteraction();
-                break;
-              }
-              default:
-                // Loss runs between the halves; OptimizerUpdate is the
-                // caller's step(); Comm nodes have no local work.
-                mlp.close();
-                break;
-            }
-        }
-    }
-
-    {
-        obs::TraceSpan span("loss");
-        loss = model.lossBackward(batch);
-    }
-
-    {
-        RECSIM_TRACE_SPAN("model.bwd");
-        MlpSpanGroup mlp;
-        for (std::size_t i = graph.nodes.size(); i-- > 0;) {
-            const auto& node = graph.nodes[i];
-            NodeSample sample(recording && executableNode(node),
-                              recording ? channels[i] : 0, step, rows);
-            switch (node.kind) {
-              case graph::NodeKind::Gemm:
-                if (node.role == graph::GemmRole::Projection) {
-                    mlp.close();
-                    obs::TraceSpan span(node.id.c_str());
-                    model.backwardProjection(
-                        static_cast<std::size_t>(node.table),
-                        node.fused_backward);
-                } else {
-                    mlp.open("nn.mlp.bwd");
-                    obs::TraceSpan span(node.id.c_str());
-                    if (node.role == graph::GemmRole::BottomMlp)
-                        model.backwardBottomLayer(
-                            static_cast<std::size_t>(node.layer), batch,
-                            node.fused_backward);
-                    else
-                        model.backwardTopLayer(
-                            static_cast<std::size_t>(node.layer),
-                            node.fused_backward, node.fused_flatten);
-                }
-                break;
-              case graph::NodeKind::EmbeddingLookup: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                if (!node.fused_tables.empty())
-                    model.backwardEmbeddingGroup(node.fused_tables,
-                                                 batch);
-                else
-                    model.backwardEmbedding(
-                        static_cast<std::size_t>(node.table), batch);
-                break;
-              }
-              case graph::NodeKind::Interaction: {
-                mlp.close();
-                obs::TraceSpan span(node.id.c_str());
-                model.backwardInteraction(node.fused_flatten);
-                break;
-              }
-              default:
-                mlp.close();
-                break;
-            }
-        }
-    }
-    return loss;
+GraphExecutor
+GraphExecutor::serial(const graph::StepGraph& graph)
+{
+    return GraphExecutor(graph, util::globalThreadPool(), /*serial=*/true);
 }
 
 GraphExecutor::GraphExecutor(const graph::StepGraph& graph,
-                             util::ThreadPool& pool)
+                             util::ThreadPool& pool, bool serial)
     : graph_(&graph), pool_(&pool)
 {
     const std::string problem = graph.validate();
@@ -339,39 +132,55 @@ GraphExecutor::GraphExecutor(const graph::StepGraph& graph,
         eff[i] = std::move(e);
     }
 
-    // Forward wave of a node = longest executable-dep chain below it.
-    std::vector<std::size_t> level(n, 0);
-    std::size_t deepest = 0;
-    for (std::size_t i : order) {
-        if (!exec[i])
-            continue;
-        for (std::size_t d : eff[i])
-            level[i] = std::max(level[i], level[d] + 1);
-        deepest = std::max(deepest, level[i]);
-    }
-    fwd_waves_.assign(deepest + 1, {});
-    for (std::size_t i = 0; i < n; ++i) {
-        if (exec[i])
-            fwd_waves_[level[i]].push_back(i);
-    }
+    if (serial) {
+        // One node per wave in node order, reversed for the backward
+        // half: sound only when node order respects every effective
+        // dep.
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!exec[i])
+                continue;
+            for (std::size_t d : eff[i])
+                RECSIM_ASSERT(d < i, "serial schedule: node {} comes "
+                              "before its dependency {}",
+                              graph.nodes[i].id, graph.nodes[d].id);
+            fwd_waves_.push_back({i});
+        }
+        bwd_waves_.assign(fwd_waves_.rbegin(), fwd_waves_.rend());
+    } else {
+        // Forward wave of a node = longest executable-dep chain below it.
+        std::vector<std::size_t> level(n, 0);
+        std::size_t deepest = 0;
+        for (std::size_t i : order) {
+            if (!exec[i])
+                continue;
+            for (std::size_t d : eff[i])
+                level[i] = std::max(level[i], level[d] + 1);
+            deepest = std::max(deepest, level[i]);
+        }
+        fwd_waves_.assign(deepest + 1, {});
+        for (std::size_t i = 0; i < n; ++i) {
+            if (exec[i])
+                fwd_waves_[level[i]].push_back(i);
+        }
 
-    // Backward waves: levels of the reversed DAG. Visiting the topo
-    // order backwards, every successor of i has already pushed its
-    // level into blevel[i], so blevel[i] is final when visited.
-    std::vector<std::size_t> blevel(n, 0);
-    deepest = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const std::size_t i = *it;
-        if (!exec[i])
-            continue;
-        deepest = std::max(deepest, blevel[i]);
-        for (std::size_t d : eff[i])
-            blevel[d] = std::max(blevel[d], blevel[i] + 1);
-    }
-    bwd_waves_.assign(deepest + 1, {});
-    for (std::size_t i = 0; i < n; ++i) {
-        if (exec[i])
-            bwd_waves_[blevel[i]].push_back(i);
+        // Backward waves: levels of the reversed DAG. Visiting the topo
+        // order backwards, every successor of i has already pushed its
+        // level into blevel[i], so blevel[i] is final when visited.
+        std::vector<std::size_t> blevel(n, 0);
+        deepest = 0;
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            const std::size_t i = *it;
+            if (!exec[i])
+                continue;
+            deepest = std::max(deepest, blevel[i]);
+            for (std::size_t d : eff[i])
+                blevel[d] = std::max(blevel[d], blevel[i] + 1);
+        }
+        bwd_waves_.assign(deepest + 1, {});
+        for (std::size_t i = 0; i < n; ++i) {
+            if (exec[i])
+                bwd_waves_[blevel[i]].push_back(i);
+        }
     }
 
     // Intern one recorder channel per node up front: the record path
@@ -389,8 +198,8 @@ GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
 {
     const graph::Node& node = graph_->nodes[node_index];
     // The span opens on the executing thread, so concurrent nodes land
-    // on their worker's track under the same node-id names the serial
-    // walk, the cost model and the DES report. The recorder sample
+    // on their worker's track under the same node-id names the cost
+    // model and the DES report. The recorder sample
     // lands on the worker's stripe under the same id.
     NodeSample sample(node_channels_[node_index], step,
                       static_cast<uint32_t>(batch.batchSize()));
@@ -477,7 +286,7 @@ GraphExecutor::runWave(const std::vector<std::size_t>& wave,
     // Grain 1: one node per pool task. Each node writes only its own
     // layer/table buffers, and its inner kernel parallelFor runs
     // inline on the worker (nested-submit rule) with the same chunk
-    // geometry as the serial walk — hence bit-identical results.
+    // geometry as a singleton wave — hence bit-identical results.
     pool_->parallelFor(
         0, wave.size(), 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t k = lo; k < hi; ++k)

@@ -1,13 +1,12 @@
 /**
  * @file
  * Graph-walk execution of one training step: the real trainer's side of
- * the "one iteration, one source of truth" contract. runGraphStep walks
- * the model's StepGraph (graph/step_graph.h) node by node, dispatching
- * each node to the matching Dlrm stepwise primitive and tagging an obs
- * trace span with the node's id — the same ids the analytical
- * nodeBreakdown() and the DES's node_seconds report under, so measured,
- * predicted and simulated per-node times line up
- * (bench/validation_graph_breakdown).
+ * the "one iteration, one source of truth" contract. GraphExecutor
+ * walks the model's StepGraph (graph/step_graph.h), dispatching each
+ * node to the matching Dlrm stepwise primitive and tagging an obs trace
+ * span with the node's id — the same ids the analytical nodeBreakdown()
+ * and the DES's node_seconds report under, so measured, predicted and
+ * simulated per-node times line up (bench/validation_graph_breakdown).
  */
 #pragma once
 
@@ -24,34 +23,27 @@ namespace recsim {
 namespace train {
 
 /**
- * Execute the forward + loss + backward of one step by walking
- * @p graph in node order (reversed for the backward half).
+ * Execution of one training step over a schedule of the graph's
+ * executable nodes (Gemm, EmbeddingLookup, Interaction — the nodes
+ * dispatched to model primitives), chosen at construction:
  *
- * Numerically identical to model.forwardBackward(batch): the walk
- * visits the same primitives in an equivalent order. @p graph must be
- * built from the same DlrmConfig the model was instantiated with
- * (checked). Comm nodes are skipped — this is the single-process
- * trainer — and the OptimizerUpdate node is the caller's step(). With
- * model.step(opt) after it, this walk is the oracle the fused
- * GraphExecutor::trainStep() is tested against.
+ * - the wave schedule (the constructor) runs independent nodes
+ *   concurrently, and is what the trainer and the serving engine run;
+ * - the serial schedule (serial()) runs one node per wave in node
+ *   order, reversed for the backward half, on the calling thread. It
+ *   is the oracle the wave schedule is tested against.
  *
- * @return Mean BCE loss of the batch.
- */
-double runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
-                    const graph::StepGraph& graph);
-
-/**
- * Dependency-aware parallel execution of one training step.
+ * Both run every node through the same dispatch, so they differ only
+ * in which nodes may overlap.
  *
- * Construction partitions the graph's executable nodes (Gemm,
- * EmbeddingLookup, Interaction — the nodes runGraphStep dispatches to
- * model primitives) into forward *wavefronts*: wave k holds every node
- * whose longest dependency chain through executable nodes has length
- * k. Non-executable nodes (Loss runs between the halves, Optimizer is
- * applied after the waves, Comm has no local work) are skipped by
- * taking the transitive closure of their edges, so e.g. a bottom-MLP
- * layer gated on `comm.input` is simply ready at step start. The
- * backward half mirrors the waves over the reversed edges.
+ * The wave schedule partitions the executable nodes into forward
+ * *wavefronts*: wave k holds every node whose longest dependency chain
+ * through executable nodes has length k. Non-executable nodes (Loss
+ * runs between the halves, Optimizer is applied after the waves, Comm
+ * has no local work) are skipped by taking the transitive closure of
+ * their edges, so e.g. a bottom-MLP layer gated on `comm.input` is
+ * simply ready at step start. The backward half mirrors the waves over
+ * the reversed edges.
  *
  * runStep() executes the waves in order, dispatching the nodes of one
  * wave concurrently on the thread pool — per-table EmbeddingBag
@@ -62,18 +54,18 @@ double runGraphStep(model::Dlrm& model, const data::MiniBatch& batch,
  * node, so the updates of different tables overlap in the backward
  * wave, then the dense update.
  *
- * Determinism: results are bit-identical to runGraphStep() at any
- * pool size. Wave membership depends only on the graph; every node
+ * Determinism: results are bit-identical to the serial schedule at
+ * any pool size. Wave membership depends only on the graph; every node
  * writes only its own per-table / per-layer buffers inside the model;
  * and nested kernel parallelFors issued from a wave worker run inline
- * with the same chunk geometry as the serial walk (ThreadPool
+ * with the same chunk geometry as the serial schedule (ThreadPool
  * guarantee), so each node's arithmetic is unchanged — only the
  * interleaving across *independent* nodes varies.
  *
  * Obs spans: "model.fwd", "loss" and "model.bwd" open on the calling
- * thread exactly as in runGraphStep(); per-node spans open on
- * whichever worker runs the node, landing on that thread's track
- * (the Tracer is thread-safe for concurrent begin/end).
+ * thread under either schedule; per-node spans open on whichever
+ * worker runs the node, landing on that thread's track (the Tracer is
+ * thread-safe for concurrent begin/end).
  *
  * Flight recorder: when obs::recorderEnabled(), every dispatched node
  * records one sample per visit on a channel named by the node id
@@ -97,10 +89,18 @@ class GraphExecutor
                                util::globalThreadPool());
 
     /**
-     * Forward + loss + backward of one step, waves dispatched in
-     * parallel. Same contract as runGraphStep(): @p graph must match
-     * the model's config (checked), and the return value / model
-     * state are bit-identical to the serial walk.
+     * Build the serial schedule for @p graph: one executable node per
+     * wave in node order, reversed for the backward half, each run on
+     * the calling thread with its inner kernels on the global pool.
+     * Panics, naming the node, if node order puts an executable node
+     * before one of its effective dependencies.
+     */
+    static GraphExecutor serial(const graph::StepGraph& graph);
+
+    /**
+     * Forward + loss + backward of one step. @p graph must match the
+     * model's config (checked), and the return value / model state
+     * are bit-identical to the serial schedule's.
      *
      * @return Mean BCE loss of the batch.
      */
@@ -113,13 +113,13 @@ class GraphExecutor
      * table's backward (a grouped lookup node updates each member
      * after the member's own backward), then the dense update and
      * zeroGrad(). The model afterwards is bit-identical to
-     * runStep() followed by model.step(opt) — and to the serial
-     * runGraphStep() walk plus step() — at any pool size: table f's
-     * update writes only table f and its accumulator, nothing later in
-     * the step reads either, and each row sees the same ops in the
-     * same order. Adagrad accumulators are created serially before the
-     * first wave, so the concurrent updates only look theirs up; each
-     * embedding backend instance still runs on one thread at a time.
+     * runStep() followed by model.step(opt) under either schedule, at
+     * any pool size: table f's update writes only table f and its
+     * accumulator, nothing later in the step reads either, and each
+     * row sees the same ops in the same order. Adagrad accumulators
+     * are created serially before the first wave, so the concurrent
+     * updates only look theirs up; each embedding backend instance
+     * still runs on one thread at a time.
      *
      * Obs: the same spans as runStep(), each "emb.t*" node span and
      * recorder sample now including that table's update, followed by
@@ -133,13 +133,12 @@ class GraphExecutor
                      nn::Adagrad& opt) const;
 
     /**
-     * Forward pass only: the forward waves dispatched in parallel, no
-     * loss and no backward — the serving path (serve/engine.h). The
-     * model's logits afterwards are bit-identical to
-     * Dlrm::forward() / the forward half of runGraphStep() on the
-     * same batch at any pool size. Usable with a full training graph
-     * or with a graph::forwardSubgraph()-pruned one (both yield the
-     * same forward waves, since pruning only drops nodes the schedule
+     * Forward pass only: the forward waves, no loss and no backward —
+     * the serving path (serve/engine.h). The model's logits afterwards
+     * are bit-identical to Dlrm::forward() on the same batch at any
+     * pool size. Usable with a full training graph or with a
+     * graph::forwardSubgraph()-pruned one (both yield the same
+     * forward waves, since pruning only drops nodes the schedule
      * already looked through).
      */
     void runForward(model::Dlrm& model,
@@ -160,6 +159,9 @@ class GraphExecutor
   private:
     /** The optimizer trainStep() applies (file-local definition). */
     struct Optimizer;
+
+    GraphExecutor(const graph::StepGraph& graph, util::ThreadPool& pool,
+                  bool serial);
 
     /** Forward, loss and backward waves; with @p opt, each table's
      *  sparse update runs inside its backward node. */

@@ -73,8 +73,8 @@ trainSingleThread(const model::DlrmConfig& model_config,
     // consume drives the real training loop (train/step_runner.h).
     // The executor dispatches independent nodes (per-table lookups
     // with their sparse updates, projections, bottom MLP)
-    // concurrently; results are bit-identical to the serial
-    // runGraphStep() walk plus Dlrm::step() at any RECSIM_THREADS.
+    // concurrently; results are bit-identical to its serial schedule
+    // plus Dlrm::step() at any RECSIM_THREADS.
     graph::StepGraph graph = graph::buildModelStepGraph(model_config);
     if (config.fuse_graph)
         graph::fusePass(graph);

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for train::GraphExecutor, the dependency-aware step executor:
- * its wavefront schedule must cover every executable node exactly once,
- * and a training run through it must stay bitwise-identical to the
- * serial runGraphStep walk at every thread-pool size — losses per step
- * and final dense parameters alike, and for trainStep(), which updates
- * each table inside the backward wave, every table and accumulator. The equivalence is the whole
- * contract: inter-op parallelism is only admissible because it cannot
- * change a single bit of the result.
+ * its wave and serial schedules must each cover every executable node
+ * exactly once, and a training run through the waves must stay
+ * bitwise-identical to the serial schedule — and both to the
+ * graph-free Dlrm::forwardBackward — at every thread-pool size: losses
+ * per step and final dense parameters alike, and for trainStep(), which
+ * updates each table inside the backward wave, every table and
+ * accumulator. The equivalence is the whole contract: inter-op
+ * parallelism is only admissible because it cannot change a single bit
+ * of the result.
  */
 #include <gtest/gtest.h>
 
@@ -78,13 +80,16 @@ expectParamsBitwiseEqual(model::Dlrm& a, model::Dlrm& b,
 }
 
 /**
- * Train @p steps via the serial walk and via the executor on same-seed
- * models with identical batches, applying SGD each step, and require
- * bitwise-equal losses and final parameters.
+ * Train 5 steps through the serial schedule, through the wave
+ * executor and through the graph-free Dlrm::forwardBackward on
+ * same-seed models with identical batches, applying SGD each step, and
+ * require bitwise-equal losses and final parameters. The graph-free
+ * leg checks that dispatch sends each node kind to the right
+ * primitive, which the two schedules, sharing it, cannot.
  */
 void
 checkSerialEquivalence(const model::DlrmConfig& cfg,
-                       const graph::StepGraph& graph,
+                       const GraphExecutor& serial,
                        const GraphExecutor& executor,
                        std::size_t threads)
 {
@@ -93,19 +98,25 @@ checkSerialEquivalence(const model::DlrmConfig& cfg,
     const std::string context =
         cfg.name + " @" + std::to_string(threads) + "t";
 
+    model::Dlrm ref_model(cfg, 3);
     model::Dlrm serial_model(cfg, 3);
     model::Dlrm exec_model(cfg, 3);
     data::SyntheticCtrDataset ds(datasetFor(cfg));
     const nn::Sgd sgd(0.05f);
     for (std::size_t step = 0; step < 5; ++step) {
         const auto batch = ds.nextBatch(32);
-        const double a = runGraphStep(serial_model, batch, graph);
+        const double r = ref_model.forwardBackward(batch);
+        const double a = serial.runStep(serial_model, batch);
         const double b = executor.runStep(exec_model, batch);
+        EXPECT_TRUE(bitwiseEqual(r, a))
+            << context << " step " << step << ": " << r << " vs " << a;
         EXPECT_TRUE(bitwiseEqual(a, b))
             << context << " step " << step << ": " << a << " vs " << b;
+        ref_model.step(sgd);
         serial_model.step(sgd);
         exec_model.step(sgd);
     }
+    expectParamsBitwiseEqual(ref_model, serial_model, context + " serial");
     expectParamsBitwiseEqual(serial_model, exec_model, context);
     pool.resize(1);
 }
@@ -114,9 +125,10 @@ TEST(GraphExecutor, BitwiseEqualToSerialWalkAcrossThreadCounts)
 {
     for (const auto& cfg : modelZoo()) {
         const auto graph = graph::buildModelStepGraph(cfg);
+        const GraphExecutor serial = GraphExecutor::serial(graph);
         const GraphExecutor executor(graph);
         for (const std::size_t threads : {1u, 2u, 8u})
-            checkSerialEquivalence(cfg, graph, executor, threads);
+            checkSerialEquivalence(cfg, serial, executor, threads);
     }
 }
 
@@ -165,13 +177,15 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
 {
     // Pre-optimizer gradient state after one fused step — dense dW/db
     // and sparse grads alike — must carry the exact bits of the
-    // unfused serial walk at every thread count. Stricter than the
+    // unfused serial schedule at every thread count. Stricter than the
     // post-SGD parameter check: nothing can hide in the update.
     auto& pool = util::globalThreadPool();
     for (const auto& cfg : modelZoo()) {
         const auto unfused = graph::buildModelStepGraph(cfg);
         auto fused_graph = graph::buildModelStepGraph(cfg);
         graph::fusePass(fused_graph);
+        const GraphExecutor unfused_serial = GraphExecutor::serial(unfused);
+        const GraphExecutor fused_walk = GraphExecutor::serial(fused_graph);
         const GraphExecutor executor(fused_graph);
 
         for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -183,10 +197,8 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
             model::Dlrm fused_exec(cfg, 3);
             data::SyntheticCtrDataset ds(datasetFor(cfg));
             const auto batch = ds.nextBatch(32);
-            const double a =
-                runGraphStep(unfused_model, batch, unfused);
-            const double b =
-                runGraphStep(fused_serial, batch, fused_graph);
+            const double a = unfused_serial.runStep(unfused_model, batch);
+            const double b = fused_walk.runStep(fused_serial, batch);
             const double c = executor.runStep(fused_exec, batch);
             EXPECT_TRUE(bitwiseEqual(a, b)) << context << " serial";
             EXPECT_TRUE(bitwiseEqual(a, c)) << context << " executor";
@@ -202,9 +214,9 @@ TEST(GraphExecutor, FusedBackwardGradsBitwiseEqualToUnfused)
 TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
 {
     // fusePass rewrites the IR (epilogue-fused GEMMs, grouped
-    // lookups); execution through the fused graph — serial walk and
-    // wavefront executor alike — must stay bit-identical to the
-    // unfused serial walk at every thread count. This is the whole
+    // lookups); execution through the fused graph — serial schedule
+    // and wavefront executor alike — must stay bit-identical to the
+    // unfused serial schedule at every thread count. This is the whole
     // license for the fusion pass.
     auto& pool = util::globalThreadPool();
     for (const auto& cfg : modelZoo()) {
@@ -212,6 +224,8 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
         auto fused_graph = graph::buildModelStepGraph(cfg);
         graph::fusePass(fused_graph);
         ASSERT_NE(fused_graph.find("emb.grouped.g0"), nullptr);
+        const GraphExecutor unfused_serial = GraphExecutor::serial(unfused);
+        const GraphExecutor fused_walk = GraphExecutor::serial(fused_graph);
         const GraphExecutor executor(fused_graph);
 
         for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -226,9 +240,8 @@ TEST(GraphExecutor, FusedGraphBitwiseEqualToUnfusedSerialWalk)
             for (std::size_t step = 0; step < 5; ++step) {
                 const auto batch = ds.nextBatch(32);
                 const double a =
-                    runGraphStep(unfused_model, batch, unfused);
-                const double b =
-                    runGraphStep(fused_serial, batch, fused_graph);
+                    unfused_serial.runStep(unfused_model, batch);
+                const double b = fused_walk.runStep(fused_serial, batch);
                 const double c = executor.runStep(fused_exec, batch);
                 EXPECT_TRUE(bitwiseEqual(a, b))
                     << context << " serial step " << step;
@@ -312,7 +325,7 @@ TEST(GraphExecutor, TrainStepBitwiseEqualToSerialWalkPlusStep)
 {
     // trainStep() applies each table's sparse update inside that
     // table's backward node, concurrently across tables, and the dense
-    // update after the waves. The oracle is the unfused serial walk
+    // update after the waves. The oracle is the unfused serial schedule
     // followed by Dlrm::step(): every table, accumulator, dense
     // parameter and tier counter must carry its exact bits, for both
     // optimizers, fused and unfused graphs, both backends, at every
@@ -323,6 +336,7 @@ TEST(GraphExecutor, TrainStepBitwiseEqualToSerialWalkPlusStep)
         const auto unfused = graph::buildModelStepGraph(cfg);
         auto fused = graph::buildModelStepGraph(cfg);
         graph::fusePass(fused);
+        const GraphExecutor unfused_serial = GraphExecutor::serial(unfused);
         for (const bool fuse : {false, true}) {
             const GraphExecutor executor(fuse ? fused : unfused);
             for (const bool adagrad : {false, true}) {
@@ -354,7 +368,7 @@ TEST(GraphExecutor, TrainStepBitwiseEqualToSerialWalkPlusStep)
                              ++step) {
                             const auto batch = ds.nextBatch(32);
                             const double a =
-                                runGraphStep(oracle, batch, unfused);
+                                unfused_serial.runStep(oracle, batch);
                             double b = 0.0;
                             if (adagrad) {
                                 oracle.step(ada_oracle);
@@ -384,24 +398,25 @@ TEST(GraphExecutor, BoundGraphSchedulesLikeComputeSkeleton)
 {
     // A placement-bound graph carries Comm/Loss/Optimizer nodes the
     // executor must look through; the result must still match the
-    // serial walk over the same bound graph.
+    // serial schedule over the same bound graph.
     const auto cfg = model::DlrmConfig::tinyReplica(8, 13, 2000, 16);
     const auto sys = cost::SystemConfig::cpuSetup(2, 3, 1, 200, 1);
     const cost::IterationModel im(cfg, sys);
     const auto& bound = im.stepGraph();
     ASSERT_NE(bound.findComm(graph::CommOp::PsRequest), nullptr);
 
+    const GraphExecutor serial = GraphExecutor::serial(bound);
     const GraphExecutor executor(bound);
     for (const std::size_t threads : {1u, 8u})
-        checkSerialEquivalence(cfg, bound, executor, threads);
+        checkSerialEquivalence(cfg, serial, executor, threads);
 }
 
 TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
 {
     // The serving contract: the pruned forward StepGraph, run through
     // runForward on the executor, must produce logits memcmp-equal to
-    // the forward half of the serial training walk — on plain and
-    // mixed-dim models, at 1/2/8 threads.
+    // the graph-free training forward — on plain and mixed-dim
+    // models, at 1/2/8 threads.
     auto& pool = util::globalThreadPool();
     for (const auto& cfg : modelZoo()) {
         const auto training = graph::buildModelStepGraph(cfg);
@@ -411,8 +426,7 @@ TEST(GraphExecutor, ForwardSubgraphMatchesTrainingForwardBitwise)
         for (std::size_t step = 0; step < 3; ++step) {
             const auto batch = ds.nextBatch(32);
 
-            // Serial reference: the forward half of runGraphStep
-            // (identical to Dlrm::forward by the PR-4 contract).
+            // Reference: the graph-free Dlrm::forward.
             model::Dlrm ref_model(cfg, 3);
             tensor::Tensor ref_logits;
             ref_model.forward(batch, ref_logits);
@@ -468,6 +482,7 @@ TEST(GraphExecutor, WavesCoverEachExecutableNodeExactlyOnce)
     const cost::IterationModel im(cfg, sys);
     const auto& g = im.stepGraph();
     const GraphExecutor executor(g);
+    const GraphExecutor serial = GraphExecutor::serial(g);
 
     std::set<std::size_t> executable;
     for (std::size_t i = 0; i < g.numNodes(); ++i) {
@@ -480,7 +495,8 @@ TEST(GraphExecutor, WavesCoverEachExecutableNodeExactlyOnce)
     ASSERT_FALSE(executable.empty());
 
     for (const auto* waves :
-         {&executor.forwardWaves(), &executor.backwardWaves()}) {
+         {&executor.forwardWaves(), &executor.backwardWaves(),
+          &serial.forwardWaves(), &serial.backwardWaves()}) {
         std::set<std::size_t> seen;
         for (const auto& wave : *waves) {
             EXPECT_FALSE(wave.empty());
@@ -491,6 +507,48 @@ TEST(GraphExecutor, WavesCoverEachExecutableNodeExactlyOnce)
         }
         EXPECT_EQ(seen, executable);
     }
+
+    // The serial schedule: singleton waves, forward in increasing node
+    // order, backward its reverse.
+    const std::vector<std::size_t> in_order(executable.begin(),
+                                            executable.end());
+    const auto& fwd = serial.forwardWaves();
+    const auto& bwd = serial.backwardWaves();
+    ASSERT_EQ(fwd.size(), in_order.size());
+    ASSERT_EQ(bwd.size(), in_order.size());
+    for (std::size_t w = 0; w < in_order.size(); ++w) {
+        EXPECT_EQ(fwd[w], std::vector<std::size_t>{in_order[w]});
+        EXPECT_EQ(bwd[w], std::vector<std::size_t>{
+                              in_order[in_order.size() - 1 - w]});
+    }
+}
+
+TEST(GraphExecutorDeath, SerialScheduleRejectsANodeBeforeItsDependency)
+{
+    // top_mlp.l0 depends on the interaction through a comm node, but
+    // comes first in node order. The wave schedule orders it by its
+    // deps; the serial schedule would run it first, so it must refuse.
+    graph::StepGraph g;
+    graph::Node top;
+    top.id = "top_mlp.l0";
+    top.kind = graph::NodeKind::Gemm;
+    top.role = graph::GemmRole::TopMlp;
+    top.layer = 0;
+    top.deps = {2};
+    graph::Node interaction;
+    interaction.id = "interaction";
+    interaction.kind = graph::NodeKind::Interaction;
+    graph::Node comm;
+    comm.id = "comm.input";
+    comm.kind = graph::NodeKind::Comm;
+    comm.deps = {1};
+    g.nodes = {top, interaction, comm};
+
+    const GraphExecutor waves(g);
+    EXPECT_EQ(waves.forwardWaves().size(), 2u);
+    EXPECT_DEATH(GraphExecutor::serial(g),
+                 "node top_mlp.l0 comes before its dependency "
+                 "interaction");
 }
 
 TEST(GraphExecutor, ForwardWavesRespectDependencies)
