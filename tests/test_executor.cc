@@ -116,7 +116,8 @@ checkSerialEquivalence(const model::DlrmConfig& cfg,
         serial_model.step(sgd);
         exec_model.step(sgd);
     }
-    expectParamsBitwiseEqual(ref_model, serial_model, context + " serial");
+    expectParamsBitwiseEqual(ref_model, serial_model,
+                             context + " graph-free vs serial");
     expectParamsBitwiseEqual(serial_model, exec_model, context);
     pool.resize(1);
 }
