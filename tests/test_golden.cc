@@ -5,13 +5,20 @@
  * nothing. tests/data/golden_analytical.txt holds one `key value` line
  * per number, recorded at %.17g:
  *
- *  - `fig10|fig11|fig12.<point>.<cpu|gpu>.<field>`: the headline fields
- *    of every Fig 10/11/12 DesignSpaceExplorer point on the CPU and Big
- *    Basin setups;
+ *  - `fig10|fig11|fig12|fig13.<point>.<cpu|gpu>.<field>`: the headline
+ *    fields of every Fig 10-13 DesignSpaceExplorer point on the CPU and
+ *    Big Basin setups;
+ *  - `setups.fig1|fig14|table3.<row>.<field>`: the estimates of
+ *    bench/fig01_production_throughput, bench/fig14_placement_bb_zion
+ *    and the core::Estimator calls of bench/table3_cpu_gpu_comparison;
  *  - `nodes.<setup>.<fused|unfused>.<index>.<node id>`: every
  *    nodeBreakdown() entry of one config per platform and placement;
  *  - `fleet50.<resource>.mean`: the means of the eight Fig 5
  *    utilizationStudy distributions of a 50-run study.
+ *
+ * Every pinned estimate carries its headline fields, each phase of its
+ * `breakdown` (`<key>.phase.<name>`) and the 15 Utilizations fields
+ * (`<key>.util.<name>`).
  *
  * Values compare at a relative 1e-12, so another libm cannot fail the
  * test while a changed formula still does. A mismatch names the key and
@@ -32,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/estimator.h"
 #include "core/explorer.h"
 #include "cost/iteration_model.h"
 #include "fleet/fleet_sim.h"
@@ -55,6 +63,10 @@ addEstimate(Values& out, const std::string& key,
     out.push_back({key + ".critical_path_seconds",
                    e.critical_path_seconds});
     out.push_back({key + ".power_watts", e.power_watts});
+    for (const cost::PhaseTime& phase : e.breakdown)
+        out.push_back({key + ".phase." + phase.name, phase.seconds});
+    for (const auto& [name, value] : e.util.asList())
+        out.push_back({key + ".util." + name, value});
 }
 
 void
@@ -68,7 +80,7 @@ addRows(Values& out, const std::string& prefix,
     }
 }
 
-/** The Fig 10, 11 and 12 grids of bench/fig1{0,1,2}_*.cpp. */
+/** The Fig 10, 11, 12 and 13 grids of bench/fig1{0,1,2,3}_*.cpp. */
 Values
 explorerValues()
 {
@@ -88,6 +100,134 @@ explorerValues()
             explorer.hashSweep(256, 64,
                                {10000, 30000, 100000, 300000, 1000000,
                                 3000000, 10000000, 30000000, 100000000}));
+    addRows(out, "fig13",
+            explorer.mlpSweep(256, 32,
+                              {{64, 2}, {128, 2}, {256, 3}, {512, 3},
+                               {1024, 3}, {1024, 4}, {2048, 4}}));
+    return out;
+}
+
+/** A production model with its CPU setup and Big Basin batch. */
+struct ProductionRow
+{
+    model::DlrmConfig model;
+    cost::SystemConfig cpu;
+    std::size_t gpu_batch;
+};
+
+std::vector<ProductionRow>
+productionRows()
+{
+    return {
+        {model::DlrmConfig::m1Prod(),
+         cost::SystemConfig::cpuSetup(6, 8, 2, 200, 1), 1600},
+        {model::DlrmConfig::m2Prod(),
+         cost::SystemConfig::cpuSetup(20, 16, 4, 200, 1), 3200},
+        {model::DlrmConfig::m3Prod(),
+         cost::SystemConfig::cpuSetup(8, 8, 2, 200, 4), 800},
+    };
+}
+
+/** Fig 1 (bench/fig01_production_throughput.cpp): each production
+ *  model on its CPU setup and on Big Basin and Zion placements. */
+void
+addFig1(Values& out)
+{
+    const core::Estimator est;
+    for (const ProductionRow& row : productionRows()) {
+        const std::string key = "setups.fig1." + row.model.name;
+        auto remote = cost::SystemConfig::bigBasinSetup(
+            EmbeddingPlacement::RemotePs, row.gpu_batch, 8);
+        remote.hogwild_threads = row.model.name == "M3_prod" ? 4 : 1;
+        const std::vector<std::pair<std::string, cost::SystemConfig>>
+            systems = {
+                {"cpu", row.cpu},
+                {"bb_gpu_memory",
+                 cost::SystemConfig::bigBasinSetup(
+                     EmbeddingPlacement::GpuMemory, row.gpu_batch)},
+                {"bb_host_memory",
+                 cost::SystemConfig::bigBasinSetup(
+                     EmbeddingPlacement::HostMemory, row.gpu_batch)},
+                {"bb_remote_ps", remote},
+                {"zion_gpu_memory",
+                 cost::SystemConfig::zionSetup(
+                     EmbeddingPlacement::GpuMemory, row.gpu_batch)},
+                {"zion_host_memory",
+                 cost::SystemConfig::zionSetup(
+                     EmbeddingPlacement::HostMemory, row.gpu_batch)},
+            };
+        for (const auto& [name, system] : systems)
+            addEstimate(out, key + "." + name,
+                        est.estimate(row.model, system));
+    }
+}
+
+/** Fig 14 (bench/fig14_placement_bb_zion.cpp): M2 at batch 3200 per
+ *  GPU on Big Basin and Zion, for each placement. */
+void
+addFig14(Values& out)
+{
+    const auto m2 = model::DlrmConfig::m2Prod();
+    for (const auto pl : {EmbeddingPlacement::GpuMemory,
+                          EmbeddingPlacement::HostMemory,
+                          EmbeddingPlacement::RemotePs}) {
+        const std::size_t ps = pl == EmbeddingPlacement::RemotePs ? 8 : 0;
+        const std::string key =
+            "setups.fig14." + placement::toString(pl);
+        addEstimate(out, key + ".bb",
+                    cost::IterationModel(
+                        m2, cost::SystemConfig::bigBasinSetup(pl, 3200, ps))
+                        .estimate());
+        addEstimate(out, key + ".zion",
+                    cost::IterationModel(
+                        m2, cost::SystemConfig::zionSetup(pl, 3200, ps))
+                        .estimate());
+    }
+}
+
+/** Table III (bench/table3_cpu_gpu_comparison.cpp): the optimal Big
+ *  Basin batch of each production model and its comparison with the
+ *  CPU setup. */
+void
+addTable3(Values& out)
+{
+    const core::Estimator est;
+    auto m3_gpu = cost::SystemConfig::bigBasinSetup(
+        EmbeddingPlacement::RemotePs, 800, 8);
+    m3_gpu.hogwild_threads = 4;
+    const std::vector<cost::SystemConfig> gpu_templates = {
+        cost::SystemConfig::bigBasinSetup(EmbeddingPlacement::GpuMemory,
+                                          1600),
+        cost::SystemConfig::bigBasinSetup(EmbeddingPlacement::GpuMemory,
+                                          3200),
+        m3_gpu,
+    };
+    const std::vector<ProductionRow> rows = productionRows();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ProductionRow& row = rows[i];
+        const std::string key = "setups.table3." + row.model.name;
+        const auto optimal = est.optimalBatch(
+            row.model, gpu_templates[i],
+            {200, 400, 800, 1600, 3200, 6400});
+        const auto cmp = est.compare(row.model, row.cpu, optimal.system);
+        out.push_back({key + ".optimal_batch",
+                       static_cast<double>(optimal.system.batch_size)});
+        out.push_back({key + ".relative_throughput",
+                       cmp.relative_throughput});
+        out.push_back({key + ".relative_power_efficiency",
+                       cmp.relative_power_efficiency});
+        addEstimate(out, key + ".cpu", cmp.baseline);
+        addEstimate(out, key + ".gpu", cmp.candidate);
+    }
+}
+
+Values
+setupValues()
+{
+    Values out;
+    addFig1(out);
+    addFig14(out);
+    addTable3(out);
     return out;
 }
 
@@ -231,6 +371,12 @@ TEST(Golden, ExplorerPointsMatchRecord)
 {
     const Values values = explorerValues();
     expectMatchesRecord("fig1", values);
+}
+
+TEST(Golden, PaperSetupsMatchRecord)
+{
+    const Values values = setupValues();
+    expectMatchesRecord("setups.", values);
 }
 
 TEST(Golden, NodeBreakdownsMatchRecord)
