@@ -17,11 +17,14 @@
  * flatten fusion, and per-device embedding-lookup grouping), so the
  * fusion win appears in all three columns at once — the same pass that
  * rewrites the executor's graph rewrites the cost model's and the
- * DES's.
+ * DES's. The measured unfused and fused training jobs alternate
+ * (U F F U U F), so host drift lands on both columns alike, and each
+ * measured iteration time is the median over a variant's iterations.
  *
  * Usage: validation_graph_breakdown [--json PATH] [--trace out.json]
  * Emits BENCH_graph_breakdown.json for the CI artifact.
  */
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -49,6 +52,9 @@ namespace {
 constexpr std::size_t kBatch = 256;
 constexpr std::size_t kSteps = 20;
 constexpr std::size_t kEval = 1024;
+/** Which variant trains in each measured job: unfused and fused in
+ *  alternation, so neither column collects all of the host's drift. */
+constexpr bool kFusedJobs[] = {false, true, true, false, false, true};
 
 std::string
 us(double seconds)
@@ -76,9 +82,14 @@ struct Variant
     sim::DistSimResult simulated;
     std::map<std::string, double> predicted;
     std::map<std::string, double> measured;
+    /** Median wall time of the measured iterations. */
     double measured_iter_seconds = 0.0;
     std::size_t measured_iters = 0;
-    /** Flight-recorder samples from the measured run. */
+    /** Measured wall seconds of each iteration and each node, summed
+     *  over the variant's jobs. */
+    std::vector<double> iter_seconds;
+    std::map<std::string, double> node_total;
+    /** Flight-recorder samples from the variant's first measured job. */
     std::vector<obs::Sample> rec_samples;
     /** Measured-vs-predicted verdicts from those samples. */
     obs::DriftReport drift;
@@ -110,29 +121,39 @@ measuredHitRate()
     return n ? static_cast<double>(hot) / static_cast<double>(n) : -1.0;
 }
 
+/** The predicted and simulated columns of one graph variant. */
 Variant
-runVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
-           const cost::CostParams& params, bool fuse, bool own_tracing,
-           double hot_tier_bytes = 0.0)
+priceVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
+             const cost::CostParams& params)
 {
-    Variant v{cost::IterationModel(m, sys, params),
-              {}, {}, {}, {}, 0.0, 0, {}, {}};
+    Variant v{cost::IterationModel(m, sys, params), {}, {}, {}, {}, 0.0,
+              0, {}, {}, {}, {}};
     v.estimate = v.analytical.estimate();
     for (const auto& node : v.analytical.nodeBreakdown())
         v.predicted[node.node_id] = node.seconds;
 
     // Simulated: the DES schedules the same (fused or not) graph nodes
-    // as events; CostParams::fuse_step_graph flows through.
+    // at their prices; CostParams::fuse_step_graph flows through.
     sim::DistSimConfig sim_cfg;
     sim_cfg.model = m;
     sim_cfg.system = sys;
     sim_cfg.params = params;
     sim_cfg.measure_seconds = 0.5;
     v.simulated = sim::runDistSim(sim_cfg);
+    return v;
+}
 
-    // Measured: the real trainer walks the same graph; every node id
-    // becomes a wall-clock span. Comm nodes have no in-process
-    // counterpart and stay blank in the measured column.
+/**
+ * One measured training job on @p v's graph: the real trainer walks
+ * the same graph, and every node id becomes a wall-clock span. Comm
+ * nodes have no in-process counterpart and stay blank in the measured
+ * column. The first job's flight-recorder samples feed the drift
+ * monitor.
+ */
+void
+measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
+           bool own_tracing, double hot_tier_bytes = 0.0)
+{
     data::DatasetConfig data_cfg;
     data_cfg.num_dense = m.num_dense;
     data_cfg.sparse = m.sparse;
@@ -154,10 +175,16 @@ runVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
         obs::MetricsRegistry::global().reset();
     }
 
+    // Under --trace the session's tracer keeps every job's spans; count
+    // only the spans this job adds to each track.
     obs::Tracer& tracer = obs::Tracer::global();
+    std::map<std::string, std::size_t> earlier_spans;
     if (own_tracing) {
         tracer.reset();
         tracer.setEnabled(true);
+    } else {
+        for (const auto& track : tracer.snapshot())
+            earlier_spans[track.name] = track.spans.size();
     }
     // The flight recorder captures per-node samples alongside the
     // trace spans; the drift monitor folds them against the
@@ -169,7 +196,9 @@ runVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
     if (hot_tier_bytes > 0.0)
         v.measured_hit_rate = measuredHitRate();
     recorder.setEnabled(false);
-    v.rec_samples = recorder.snapshot();
+    const bool first_job = v.iter_seconds.empty();
+    if (first_job)
+        v.rec_samples = recorder.snapshot();
     recorder.reset();
     const auto tracks = tracer.snapshot();
     if (own_tracing) {
@@ -177,32 +206,45 @@ runVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
         tracer.reset();
     }
 
-    obs::DriftMonitor monitor(v.predicted);
-    monitor.ingest(recorder, v.rec_samples);
-    v.drift = monitor.report();
+    if (first_job) {
+        obs::DriftMonitor monitor(v.predicted);
+        monitor.ingest(recorder, v.rec_samples);
+        v.drift = monitor.report();
+    }
 
-    std::map<std::string, double> measured_total;
     for (const auto& track : tracks) {
         if (track.simulated)
             continue;
-        for (const auto& span : track.spans) {
-            measured_total[span.name] += span.seconds();
-            if (span.name == "train.iteration") {
-                ++v.measured_iters;
-                v.measured_iter_seconds += span.seconds();
-            }
+        const auto seen = earlier_spans.find(track.name);
+        const std::size_t skip =
+            seen == earlier_spans.end() ? 0 : seen->second;
+        for (std::size_t i = skip; i < track.spans.size(); ++i) {
+            const auto& span = track.spans[i];
+            v.node_total[span.name] += span.seconds();
+            if (span.name == "train.iteration")
+                v.iter_seconds.push_back(span.seconds());
         }
     }
-    if (v.measured_iters > 0) {
-        const auto n = static_cast<double>(v.measured_iters);
-        for (const auto& node : v.analytical.stepGraph().nodes) {
-            const auto it = measured_total.find(node.id);
-            if (it != measured_total.end())
-                v.measured[node.id] = it->second / n;
-        }
-        v.measured_iter_seconds /= n;
+}
+
+/** Fold the measured jobs of @p v into its measured columns. */
+void
+summarizeJobs(Variant& v)
+{
+    v.measured_iters = v.iter_seconds.size();
+    if (v.measured_iters == 0)
+        return;
+    const auto n = static_cast<double>(v.measured_iters);
+    for (const auto& node : v.analytical.stepGraph().nodes) {
+        const auto it = v.node_total.find(node.id);
+        if (it != v.node_total.end())
+            v.measured[node.id] = it->second / n;
     }
-    return v;
+    std::vector<double> sorted = v.iter_seconds;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t mid = sorted.size() / 2;
+    v.measured_iter_seconds = sorted.size() % 2
+        ? sorted[mid] : 0.5 * (sorted[mid - 1] + sorted[mid]);
 }
 
 void
@@ -342,9 +384,13 @@ emitNodes(std::ofstream& out, const Variant& v)
 void
 emitIterationSeconds(std::ofstream& out, const Variant& v)
 {
+    const auto precision = out.precision(12);
     out << "{\"predicted\": " << v.estimate.iteration_seconds
+        << ", \"critical_path_seconds\": "
+        << v.estimate.critical_path_seconds
         << ", \"simulated\": " << v.simulated.mean_iteration_seconds
         << ", \"measured\": " << v.measured_iter_seconds << "}";
+    out.precision(precision);
 }
 
 } // namespace
@@ -392,12 +438,14 @@ main(int argc, char** argv)
     cached_sys.emb_hot_tier_bytes = hot_tier_budget;
 
     const bool own_tracing = !trace_session.active();
-    const Variant unfused =
-        runVariant(m, sys, params, false, own_tracing);
-    const Variant fused =
-        runVariant(m, sys, fused_params, true, own_tracing);
-    const Variant cached = runVariant(m, cached_sys, params, false,
-                                      own_tracing, hot_tier_budget);
+    Variant unfused = priceVariant(m, sys, params);
+    Variant fused = priceVariant(m, sys, fused_params);
+    Variant cached = priceVariant(m, cached_sys, params);
+    for (const bool fuse : kFusedJobs)
+        measureJob(fuse ? fused : unfused, m, fuse, own_tracing);
+    measureJob(cached, m, false, own_tracing, hot_tier_budget);
+    for (Variant* v : {&unfused, &fused, &cached})
+        summarizeJobs(*v);
 
     printVariantTable("unfused graph:", unfused);
     printVariantTable("fused graph (fusePass):", fused);

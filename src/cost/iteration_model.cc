@@ -20,6 +20,57 @@ perExample(double units_per_example, double units_per_second)
         ? units_per_example / units_per_second : 0.0;
 }
 
+/**
+ * The resource a bound node holds: a Comm node's link or server by its
+ * op, any other node its device's compute (or, for a lookup, memory).
+ * A lookup hosted on a sparse PS holds the trainer CPU for its
+ * trainer-side half (id marshalling, pooled-vector handling); the
+ * comm.ps_* legs serve its rows.
+ */
+Resource
+resourceOf(const graph::Node& node)
+{
+    using graph::CommOp;
+    switch (node.comm) {
+      case CommOp::PsRequest:
+        return Resource::TrainerNic;
+      case CommOp::PsGather:
+        return Resource::PsMem;
+      case CommOp::PsPool:
+        return Resource::PsCpu;
+      case CommOp::PsResponse:
+        return Resource::PsNic;
+      case CommOp::GradPush:
+        return Resource::TrainerPush;
+      case CommOp::DenseSync:
+        return Resource::DensePsNic;
+      case CommOp::AllToAll:
+      case CommOp::AllReduce:
+        return Resource::Interconnect;
+      case CommOp::HostGather:
+        return Resource::HostMem;
+      case CommOp::PcieStage:
+        return Resource::Pcie;
+      case CommOp::Deserialize:
+      case CommOp::Input:
+        return Resource::HostCpu;
+      case CommOp::None:
+        break;
+    }
+    const bool lookup = node.kind == graph::NodeKind::EmbeddingLookup;
+    switch (node.device) {
+      case graph::Device::TrainerCpu:
+      case graph::Device::SparsePs:
+        return Resource::TrainerCpu;
+      case graph::Device::Gpu:
+        return lookup ? Resource::GpuMem : Resource::GpuCompute;
+      case graph::Device::HostCpu:
+        return lookup ? Resource::HostMem : Resource::HostCpu;
+      default:
+        return Resource::None;
+    }
+}
+
 } // namespace
 
 std::vector<std::pair<std::string, double>>
@@ -63,36 +114,113 @@ IterationModel::IterationModel(model::DlrmConfig model_config,
     plan_ = placement::planPlacement(system_.placement, model_,
                                      system_.platform,
                                      system_.placement_options);
+    if (!plan_.feasible) {
+        estimate_.feasible = false;
+        estimate_.infeasible_reason = plan_.infeasible_reason.empty()
+            ? "embedding placement infeasible"
+            : plan_.infeasible_reason;
+        estimate_.power_watts = system_.totalPowerWatts();
+        return;
+    }
     graph_ = graph::buildModelStepGraph(model_);
     placement::bindStepGraph(graph_, plan_, system_.num_sparse_ps);
     if (params_.fuse_step_graph)
         graph::fusePass(graph_);
     summary_ = graph::summarize(graph_);
+    rates_ = deriveRates();
+
+    const bool gpu = system_.platform.num_gpus > 0;
+    estimate_ = gpu ? estimateGpu() : estimateCpu();
+    prices_ = gpu ? priceGpu(estimate_.breakdown) : priceCpu();
+
+    // Critical-path fold over the graph edges: the iteration's lower
+    // bound under perfect overlap, with each node at its price. This
+    // rides alongside the calibrated max/sum estimate above — it does
+    // not change iteration_seconds — and overlap_efficiency =
+    // critical/sum is how much of the serial work the edges can hide
+    // (PS-sharded placements hide most sparse comm, Sec. V).
+    std::vector<double> seconds;
+    seconds.reserve(prices_.size());
+    double sum = 0.0;
+    for (const NodePrice& price : prices_) {
+        seconds.push_back(price.seconds);
+        sum += price.seconds;
+    }
+    estimate_.serial_sum_seconds = sum;
+    estimate_.critical_path_seconds = graph_.criticalPath(seconds);
+    estimate_.overlap_efficiency = sum > 0.0
+        ? estimate_.critical_path_seconds / sum : 1.0;
 }
 
-double
-IterationModel::remoteCacheHitFraction() const
+IterationModel::Rates
+IterationModel::deriveRates() const
 {
-    if (system_.remote_cache_bytes <= 0.0)
-        return 0.0;
-    const double row_bytes = static_cast<double>(summary_.emb_dim) *
-        system_.emb_bytes_per_element;
-    const double cache_rows = system_.remote_cache_bytes / row_bytes;
-    const double total_access = std::max(
-        summary_.embedding_lookups, 1e-9);
-    // Fold over the model's sparse specs rather than the graph's
-    // lookup nodes: fusePass merges per-table nodes into grouped ones
-    // (losing per-table rows/zipf), and the cache splits by *table*
-    // either way. Specs and unfused emb nodes are in the same order
-    // with identical annotations, so this is the same arithmetic.
-    double hit = 0.0;
-    for (const auto& spec : model_.sparse) {
-        const double share = spec.effectiveMeanLength() / total_access;
-        const auto rows = static_cast<uint64_t>(cache_rows * share);
-        hit += share * util::zipfTopMass(spec.hash_size,
-                                         spec.zipf_exponent, rows);
+    Rates r;
+    const hw::Platform& p = system_.platform;
+    const hw::Platform ps = hw::Platform::dualSocketCpu();
+
+    // Cache pressure: the activation working set past the LLC derates
+    // GEMMs (the Fig 11 CPU batch-size roll-off). Only about half the
+    // LLC is available to the GEMM working set (the rest serves the
+    // input pipeline and lookup staging).
+    const double llc = 0.5 * kCpuLlcBytesPerSocket * p.num_cpu_sockets;
+    const double ws = static_cast<double>(system_.batch_size) *
+        summary_.activation_bytes;
+    const double cache_factor = ws > llc
+        ? std::pow(llc / ws, params_.cpu_cache_pressure_exponent) : 1.0;
+    r.host_flops =
+        p.host.peak_flops * params_.cpu_mlp_efficiency * cache_factor;
+    r.nic = p.network.bandwidth * params_.network_goodput;
+
+    // Sparse-PS shard rates. The gather is hot-tier aware: the
+    // placement's traffic-weighted hit fraction routes that share of
+    // bytes to the managed hot tier (DRAM-speed unless the device
+    // declares a faster one); identical to the single-tier rate when
+    // no hot budget is configured.
+    const double n_ps = static_cast<double>(
+        std::max<std::size_t>(system_.num_sparse_ps, 1));
+    r.ps_gather = tieredGatherBandwidth(
+        ps.host.mem_bandwidth, ps.host.hotTierBandwidth(),
+        plan_.hot_hit_fraction, plan_.resident_bytes / n_ps,
+        kCpuLlcBytesPerSocket * ps.num_cpu_sockets,
+        ps.host.random_access_efficiency,
+        params_.cached_gather_efficiency);
+    r.ps_pool = ps.host.peak_flops * params_.cpu_mlp_efficiency *
+        params_.ps_pooling_flops_fraction;
+    r.ps_nic = ps.network.bandwidth * params_.network_goodput;
+    r.dense_ps = static_cast<double>(system_.num_dense_ps) * r.ps_nic;
+
+    // EASGD syncs the dense parameters once per period; synchronous
+    // training every iteration.
+    const double sync_period = system_.sync_mode == SyncMode::Easgd
+        ? static_cast<double>(std::max<std::size_t>(
+              system_.easgd_sync_period, 1))
+        : 1.0;
+    r.dense_sync_bytes =
+        2.0 * summary_.dense_param_count * sizeof(float) / sync_period;
+
+    if (system_.remote_cache_bytes > 0.0) {
+        const double row_bytes = static_cast<double>(summary_.emb_dim) *
+            system_.emb_bytes_per_element;
+        const double cache_rows = system_.remote_cache_bytes / row_bytes;
+        const double total_access = std::max(
+            summary_.embedding_lookups, 1e-9);
+        // Fold over the model's sparse specs rather than the graph's
+        // lookup nodes: fusePass merges per-table nodes into grouped
+        // ones (losing per-table rows/zipf), and the cache splits by
+        // *table* either way. Specs and unfused emb nodes are in the
+        // same order with identical annotations, so this is the same
+        // arithmetic.
+        double hit = 0.0;
+        for (const auto& spec : model_.sparse) {
+            const double share = spec.effectiveMeanLength() / total_access;
+            const auto rows = static_cast<uint64_t>(cache_rows * share);
+            hit += share * util::zipfTopMass(spec.hash_size,
+                                             spec.zipf_exponent, rows);
+        }
+        r.remote_hit = std::min(hit, 1.0);
     }
-    return std::min(hit, 1.0);
+    return r;
 }
 
 double
@@ -100,83 +228,27 @@ IterationModel::sparsePsCapacity() const
 {
     if (system_.num_sparse_ps == 0)
         return 0.0;
-    const hw::Platform ps = hw::Platform::dualSocketCpu();
     const double n = static_cast<double>(system_.num_sparse_ps);
-
-    const double resident_per_ps = plan_.resident_bytes / n;
-    // Hot-tier-aware gather rate: the placement's traffic-weighted hit
-    // fraction routes that share of bytes to the managed hot tier
-    // (DRAM-speed unless the device declares a faster one); identical
-    // to the single-tier rate when no hot budget is configured.
-    const double gather_bw = tieredGatherBandwidth(
-        ps.host.mem_bandwidth, ps.host.hotTierBandwidth(),
-        plan_.hot_hit_fraction, resident_per_ps,
-        kCpuLlcBytesPerSocket * ps.num_cpu_sockets,
-        ps.host.random_access_efficiency,
-        params_.cached_gather_efficiency);
     // Trainer-side cache hits never reach the PS: only the cold share
     // of forward pulls plus the (write-through) gradient pushes remain.
-    const double hit = remoteCacheHitFraction();
     const double emb_train_bytes = summary_.embedding_bytes *
-        ((1.0 - hit) + (params_.emb_train_bytes_multiplier - 1.0));
-
+        ((1.0 - rates_.remote_hit) +
+         (params_.emb_train_bytes_multiplier - 1.0));
     // Pooling + gradient scatter arithmetic on the PS cores.
     const double pool_flops = summary_.embedding_lookups *
         static_cast<double>(summary_.emb_dim) * 2.0 * 2.0;
-    const double pool_rate = ps.host.peak_flops *
-        params_.cpu_mlp_efficiency * params_.ps_pooling_flops_fraction;
-
     // NIC: pooled vectors out + gradients in + index requests.
     const double nic_bytes = 2.0 * summary_.pooled_bytes +
         summary_.embedding_lookups * params_.request_bytes_per_lookup;
-    const double nic_rate = ps.network.bandwidth *
-        params_.network_goodput;
 
     const double s_per_example = std::max({
-        perExample(emb_train_bytes, gather_bw),
-        perExample(pool_flops, pool_rate),
-        perExample(nic_bytes, nic_rate)});
+        perExample(emb_train_bytes, rates_.ps_gather),
+        perExample(pool_flops, rates_.ps_pool),
+        perExample(nic_bytes, rates_.ps_nic)});
     if (s_per_example <= 0.0)
         return 0.0;
     const double imbalance = std::max(plan_.access_imbalance, 1.0);
     return n / (s_per_example * imbalance);
-}
-
-IterationEstimate
-IterationModel::estimate() const
-{
-    IterationEstimate est;
-    if (!plan_.feasible) {
-        est.feasible = false;
-        est.infeasible_reason = plan_.infeasible_reason.empty()
-            ? "embedding placement infeasible"
-            : plan_.infeasible_reason;
-        est.power_watts = system_.totalPowerWatts();
-        return est;
-    }
-    const bool gpu = system_.platform.num_gpus > 0;
-    est = gpu ? estimateGpu() : estimateCpu();
-
-    // Critical-path fold over the graph edges: the iteration's lower
-    // bound under perfect overlap, with each node at its
-    // nodeBreakdown() seconds (the GPU path splits this estimate's
-    // phases). This rides alongside the calibrated max/sum estimate
-    // above — it does not change iteration_seconds — and
-    // overlap_efficiency = critical/sum is how much of the serial work
-    // the edges can hide (PS-sharded placements hide most sparse comm,
-    // Sec. V).
-    const std::vector<double> seconds =
-        gpu ? nodeSecondsGpu(est.breakdown) : nodeSecondsCpu();
-    if (!seconds.empty()) {
-        double sum = 0.0;
-        for (double s : seconds)
-            sum += s;
-        est.serial_sum_seconds = sum;
-        est.critical_path_seconds = graph_.criticalPath(seconds);
-        est.overlap_efficiency = sum > 0.0
-            ? est.critical_path_seconds / sum : 1.0;
-    }
-    return est;
 }
 
 IterationEstimate
@@ -192,18 +264,8 @@ IterationModel::estimateCpu() const
     const double train_flops =
         fwd_flops * (1.0 + params_.backward_flops_multiplier);
     const double dense_params = summary_.dense_param_count;
-
-    // Cache pressure: activation working set past the LLC derates GEMMs
-    // (the Fig 11 CPU batch-size roll-off).
     const double act_bytes_pe = summary_.activation_bytes;
-    // Only about half the LLC is available to the GEMM working set
-    // (the rest serves the input pipeline and lookup staging).
-    const double llc = 0.5 * kCpuLlcBytesPerSocket * p.num_cpu_sockets;
-    const double ws = b * act_bytes_pe;
-    const double cache_factor = ws > llc
-        ? std::pow(llc / ws, params_.cpu_cache_pressure_exponent) : 1.0;
-    const double host_flops =
-        p.host.peak_flops * params_.cpu_mlp_efficiency * cache_factor;
+    const double host_flops = rates_.host_flops;
 
     // Unfused GEMM epilogues (bias + ReLU passes over the activations
     // forward; dReLU mask, bias-grad sumRows and the interaction
@@ -228,13 +290,8 @@ IterationModel::estimateCpu() const
     // index requests; EASGD dense sync amortized over the period.
     const double net_bytes_pe = 2.0 * summary_.pooled_bytes +
         summary_.embedding_lookups * params_.request_bytes_per_lookup;
-    const double sync_period = system_.sync_mode == SyncMode::Easgd
-        ? static_cast<double>(std::max<std::size_t>(
-              system_.easgd_sync_period, 1))
-        : 1.0;
-    const double dense_sync_bytes =
-        2.0 * dense_params * sizeof(float) / sync_period;
-    const double nic_rate = p.network.bandwidth * params_.network_goodput;
+    const double dense_sync_bytes = rates_.dense_sync_bytes;
+    const double nic_rate = rates_.nic;
     const double t_net = (b * net_bytes_pe + dense_sync_bytes) / nic_rate +
         4.0 * p.network.latency;
 
@@ -271,8 +328,7 @@ IterationModel::estimateCpu() const
     double dense_cap = 0.0;
     if (system_.num_dense_ps > 0) {
         const double bytes_pe = dense_sync_bytes / b;
-        dense_cap = static_cast<double>(system_.num_dense_ps) *
-            nic_rate / std::max(bytes_pe, 1e-12);
+        dense_cap = rates_.dense_ps / std::max(bytes_pe, 1e-12);
         if (dense_cap < throughput) {
             throughput = dense_cap;
             est.bottleneck = "dense_ps";
@@ -347,8 +403,7 @@ IterationModel::estimateGpu() const
     const double bg =
         static_cast<double>(system_.batch_size) * g;  // per-node batch
     const double bg_global = bg * n_nodes;
-    const double nic_rate =
-        p.network.bandwidth * params_.network_goodput;
+    const double nic_rate = rates_.nic;
 
     const double fwd_flops =
         summary_.mlp_flops + summary_.interaction_flops;
@@ -483,15 +538,13 @@ IterationModel::estimateGpu() const
     if (frac_remote > 0.0) {
         // A trainer-side hot-row cache absorbs the Zipf-hot share of
         // pulls (caching extension); gradient pushes still go through.
-        const double hit = remoteCacheHitFraction();
+        const double hit = rates_.remote_hit;
         const double bytes_rt = bg * frac_remote *
             (summary_.pooled_bytes * compression * (1.0 - hit) +
              summary_.pooled_bytes +
              summary_.embedding_lookups * params_.request_bytes_per_lookup *
                  (1.0 - hit));
-        const double t_net = bytes_rt /
-            (p.network.bandwidth * params_.network_goodput) +
-            2.0 * p.network.latency;
+        const double t_net = bytes_rt / nic_rate + 2.0 * p.network.latency;
         const double t_serial = bytes_rt /
             (params_.serialization_bw_per_socket *
              static_cast<double>(p.num_cpu_sockets));
@@ -574,11 +627,9 @@ IterationModel::estimateGpu() const
     }
     double reader_cap = 0.0;
     if (system_.num_readers > 0) {
-        const double nic_rate = p.network.bandwidth *
-            params_.network_goodput;
+        // Readers are dual-socket CPU servers, like the PS.
         reader_cap = static_cast<double>(system_.num_readers) *
-            hw::Platform::dualSocketCpu().network.bandwidth *
-            params_.network_goodput / read_bytes_pe;
+            rates_.ps_nic / read_bytes_pe;
         // The GPU server itself must also ingest the stream.
         reader_cap = std::min(reader_cap, nic_rate / read_bytes_pe);
         if (reader_cap < throughput) {
@@ -615,8 +666,7 @@ IterationModel::estimateGpu() const
              (params_.serialization_bw_per_socket *
               static_cast<double>(p.num_cpu_sockets))));
     est.util.trainer_network = std::min(
-        1.0, x * frac_remote * 2.0 * summary_.pooled_bytes /
-            (p.network.bandwidth * params_.network_goodput));
+        1.0, x * frac_remote * 2.0 * summary_.pooled_bytes / nic_rate);
     est.util.trainer_mem_capacity = std::min(
         1.0, plan_.resident_bytes * frac_host /
             std::max(p.host.mem_capacity, 1.0));
@@ -638,67 +688,29 @@ IterationModel::estimateGpu() const
 std::vector<NodeTime>
 IterationModel::nodeBreakdown() const
 {
-    if (!plan_.feasible)
-        return {};
-    const std::vector<double> seconds = system_.platform.num_gpus > 0
-        ? nodeSecondsGpu(estimateGpu().breakdown)
-        : nodeSecondsCpu();
     std::vector<NodeTime> out;
-    out.reserve(seconds.size());
-    for (std::size_t i = 0; i < seconds.size(); ++i)
-        out.push_back({graph_.nodes[i].id, seconds[i]});
+    out.reserve(prices_.size());
+    for (std::size_t i = 0; i < prices_.size(); ++i)
+        out.push_back({graph_.nodes[i].id, prices_[i].seconds});
     return out;
 }
 
-std::vector<double>
-IterationModel::nodeSecondsCpu() const
+std::vector<NodePrice>
+IterationModel::priceCpu() const
 {
     const hw::Platform& p = system_.platform;
     const double b = static_cast<double>(system_.batch_size);
     const double bwd = 1.0 + params_.backward_flops_multiplier;
-
-    // Trainer GEMM rate under cache pressure (as estimateCpu()).
-    const double llc = 0.5 * kCpuLlcBytesPerSocket * p.num_cpu_sockets;
-    const double ws = b * summary_.activation_bytes;
-    const double cache_factor = ws > llc
-        ? std::pow(llc / ws, params_.cpu_cache_pressure_exponent) : 1.0;
-    const double host_flops =
-        p.host.peak_flops * params_.cpu_mlp_efficiency * cache_factor;
-
-    const double nic_rate = p.network.bandwidth * params_.network_goodput;
-    const double sync_period = system_.sync_mode == SyncMode::Easgd
-        ? static_cast<double>(std::max<std::size_t>(
-              system_.easgd_sync_period, 1))
-        : 1.0;
-    const double dense_sync_bytes = 2.0 * summary_.dense_param_count *
-        sizeof(float) / sync_period;
-
-    // Sparse-PS service rates, mirroring the DES's resources.
-    const hw::Platform ps_hw = hw::Platform::dualSocketCpu();
-    const double n_ps = static_cast<double>(
-        std::max<std::size_t>(system_.num_sparse_ps, 1));
-    const double gather_rate = tieredGatherBandwidth(
-        ps_hw.host.mem_bandwidth, ps_hw.host.hotTierBandwidth(),
-        plan_.hot_hit_fraction, plan_.resident_bytes / n_ps,
-        kCpuLlcBytesPerSocket * ps_hw.num_cpu_sockets,
-        ps_hw.host.random_access_efficiency,
-        params_.cached_gather_efficiency);
-    const double pool_rate = ps_hw.host.peak_flops *
-        params_.cpu_mlp_efficiency * params_.ps_pooling_flops_fraction;
-    const double ps_nic_rate = ps_hw.network.bandwidth *
-        params_.network_goodput;
-    const double dense_rate = static_cast<double>(system_.num_dense_ps) *
-        ps_nic_rate;
     const double d = static_cast<double>(summary_.emb_dim);
 
-    std::vector<double> out;
+    std::vector<NodePrice> out;
     out.reserve(graph_.numNodes());
     for (const auto& node : graph_.nodes) {
         double s = 0.0;
         switch (node.kind) {
           case graph::NodeKind::Gemm:
           case graph::NodeKind::Interaction:
-            s = b * node.fwd_flops * bwd / host_flops +
+            s = b * node.fwd_flops * bwd / rates_.host_flops +
                 b * (node.epilogue_traffic_bytes +
                      node.bwd_epilogue_traffic_bytes) /
                     p.host.mem_bandwidth;
@@ -725,39 +737,38 @@ IterationModel::nodeSecondsCpu() const
                     (summary_.pooled_bytes +
                      summary_.embedding_lookups *
                          params_.request_bytes_per_lookup) *
-                    0.1 / nic_rate;
+                    0.1 / rates_.nic;
                 break;
               case graph::CommOp::PsGather:
                 s = b * node.share * summary_.embedding_bytes *
-                    params_.emb_train_bytes_multiplier / gather_rate;
+                    params_.emb_train_bytes_multiplier / rates_.ps_gather;
                 break;
               case graph::CommOp::PsPool:
                 s = b * node.share * summary_.embedding_lookups * d *
-                    4.0 / pool_rate;
+                    4.0 / rates_.ps_pool;
                 break;
               case graph::CommOp::PsResponse:
-                s = b * node.share * summary_.pooled_bytes /
-                    ps_nic_rate;
+                s = b * node.share * summary_.pooled_bytes / rates_.ps_nic;
                 break;
               case graph::CommOp::GradPush:
-                s = b * node.share * summary_.pooled_bytes / nic_rate;
+                s = b * node.share * summary_.pooled_bytes / rates_.nic;
                 break;
               case graph::CommOp::DenseSync:
-                s = dense_rate > 0.0
-                    ? dense_sync_bytes / dense_rate : 0.0;
+                s = rates_.dense_ps > 0.0
+                    ? rates_.dense_sync_bytes / rates_.dense_ps : 0.0;
                 break;
               default:
                 break;
             }
             break;
         }
-        out.push_back(s);
+        out.push_back({resourceOf(node), s});
     }
     return out;
 }
 
-std::vector<double>
-IterationModel::nodeSecondsGpu(const std::vector<PhaseTime>& phases) const
+std::vector<NodePrice>
+IterationModel::priceGpu(const std::vector<PhaseTime>& phases) const
 {
     // Phase totals from the estimate, attributed to the graph nodes that
     // make them up so per-phase sums reproduce the breakdown exactly.
@@ -799,38 +810,24 @@ IterationModel::nodeSecondsGpu(const std::vector<PhaseTime>& phases) const
     }
 
     // The remote-PS phase splits over the RPC-leg nodes in proportion
-    // to their DES service demands.
-    const hw::Platform ps_hw = hw::Platform::dualSocketCpu();
-    const double n_ps = static_cast<double>(
-        std::max<std::size_t>(system_.num_sparse_ps, 1));
-    const double gather_rate = tieredGatherBandwidth(
-        ps_hw.host.mem_bandwidth, ps_hw.host.hotTierBandwidth(),
-        plan_.hot_hit_fraction, plan_.resident_bytes / n_ps,
-        kCpuLlcBytesPerSocket * ps_hw.num_cpu_sockets,
-        ps_hw.host.random_access_efficiency,
-        params_.cached_gather_efficiency);
-    const double pool_rate = ps_hw.host.peak_flops *
-        params_.cpu_mlp_efficiency * params_.ps_pooling_flops_fraction;
-    const double ps_nic_rate = ps_hw.network.bandwidth *
-        params_.network_goodput;
-    const double nic_rate = p.network.bandwidth * params_.network_goodput;
+    // to their service demands at the shared rates.
     auto remoteWeight = [&](const graph::Node& node) {
         switch (node.comm) {
           case graph::CommOp::PsRequest:
             return bg * node.share *
                 (summary_.pooled_bytes + summary_.embedding_lookups *
                  params_.request_bytes_per_lookup) * 0.1 * frac_remote /
-                nic_rate;
+                rates_.nic;
           case graph::CommOp::PsGather:
             return bg * node.share * summary_.embedding_bytes *
                 params_.emb_train_bytes_multiplier * frac_remote /
-                gather_rate;
+                rates_.ps_gather;
           case graph::CommOp::PsPool:
             return bg * node.share * summary_.embedding_lookups * d *
-                4.0 * frac_remote / pool_rate;
+                4.0 * frac_remote / rates_.ps_pool;
           case graph::CommOp::PsResponse:
             return bg * node.share * summary_.pooled_bytes *
-                frac_remote / ps_nic_rate;
+                frac_remote / rates_.ps_nic;
           case graph::CommOp::Deserialize:
             return 2.0 * bg * summary_.pooled_bytes * frac_remote /
                 (params_.serialization_bw_per_socket *
@@ -847,7 +844,7 @@ IterationModel::nodeSecondsGpu(const std::vector<PhaseTime>& phases) const
     const double remote_scale = remote_total > 0.0
         ? t_remote / remote_total : 0.0;
 
-    std::vector<double> out;
+    std::vector<NodePrice> out;
     out.reserve(graph_.numNodes());
     for (const auto& node : graph_.nodes) {
         double s = 0.0;
@@ -891,7 +888,7 @@ IterationModel::nodeSecondsGpu(const std::vector<PhaseTime>& phases) const
             }
             break;
         }
-        out.push_back(s);
+        out.push_back({resourceOf(node), s});
     }
     return out;
 }

@@ -130,6 +130,38 @@ struct NodeTime
     double seconds = 0.0;
 };
 
+/**
+ * The resource a StepGraph node holds while it runs. The DES keeps one
+ * instance per trainer of the Trainer* resources, one per sparse-PS
+ * shard of the Ps* resources (the node's shard picks it) and one of
+ * each other; None is a pure delay that holds nothing.
+ */
+enum class Resource
+{
+    None,
+    TrainerCpu,
+    TrainerNic,
+    /** The trainer's uplink for gradient pushes (see sim/dist_sim.cc). */
+    TrainerPush,
+    PsMem,
+    PsCpu,
+    PsNic,
+    DensePsNic,
+    GpuCompute,
+    GpuMem,
+    Interconnect,
+    HostMem,
+    HostCpu,
+    Pcie
+};
+
+/** The price of one StepGraph node: what it holds, and for how long. */
+struct NodePrice
+{
+    Resource resource = Resource::None;
+    double seconds = 0.0;
+};
+
 /** Per-resource utilization in [0, 1] at the achieved throughput. */
 struct Utilizations
 {
@@ -212,10 +244,12 @@ struct IterationEstimate
 
 /**
  * The estimator. Construction plans the embedding placement, lowers the
- * model into its StepGraph and binds the placement to it; estimate()
- * is pure and cheap, so sweeps construct one model per design point.
- * All work quantities (FLOPs, bytes, lookups) are folds over the graph
- * nodes — the same IR the DES schedules and the trainer executes.
+ * model into its StepGraph, binds the placement to it and prices every
+ * node once; estimate() and nodeBreakdown() then only read, so sweeps
+ * construct one model per design point. All work quantities (FLOPs,
+ * bytes, lookups) are folds over the graph nodes — the same IR the DES
+ * schedules and the trainer executes. An infeasible plan stops
+ * construction after planning: the graph and the prices stay empty.
  */
 class IterationModel
 {
@@ -224,17 +258,21 @@ class IterationModel
                    SystemConfig system_config, CostParams params = {});
 
     /** Steady-state estimate for the configured system. */
-    IterationEstimate estimate() const;
+    IterationEstimate estimate() const { return estimate_; }
 
     /**
-     * Per-node time attribution of one iteration: every compute node
-     * costed at its phase's rate, every Comm node at its link/service
-     * rate, mirroring the demand expressions the DES uses so the two
-     * line up node by node (bench/validation_graph_breakdown). Compute
-     * phases of estimate().breakdown are sums over their nodes; on the
-     * GPU path every phase is. Empty when the plan is infeasible.
+     * The seconds of prices(), paired with the node ids. On the CPU
+     * path the compute phases of estimate().breakdown are sums over
+     * their nodes; on the GPU path every phase is, split over its nodes
+     * by FLOPs, gather bytes or RPC-leg demand. Empty when the plan is
+     * infeasible.
      */
     std::vector<NodeTime> nodeBreakdown() const;
+
+    /** One price per stepGraph() node, in node order: what the DES
+     *  holds for each node and what the critical path and serial sum
+     *  of estimate() fold. Empty when the plan is infeasible. */
+    const std::vector<NodePrice>& prices() const { return prices_; }
 
     const placement::PlacementPlan& plan() const { return plan_; }
     const model::DlrmConfig& modelConfig() const { return model_; }
@@ -248,11 +286,11 @@ class IterationModel
 
     /**
      * Fraction of remote lookup traffic served by the trainer-side
-     * hot-row cache (0 when no cache is configured). Analytic: Zipf
-     * top-k mass with the cache split across the graph's embedding
-     * nodes by access share.
+     * hot-row cache (0 when no cache is configured or the plan is
+     * infeasible). Analytic: Zipf top-k mass with the cache split
+     * across the graph's embedding nodes by access share.
      */
-    double remoteCacheHitFraction() const;
+    double remoteCacheHitFraction() const { return rates_.remote_hit; }
 
     /**
      * Traffic-weighted fraction of embedding gather traffic the
@@ -266,14 +304,34 @@ class IterationModel
     double hotTierHitFraction() const { return plan_.hot_hit_fraction; }
 
   private:
+    /** The rates and per-iteration demands the CPU and sparse-PS
+     *  prices and capacities share, derived once. */
+    struct Rates
+    {
+        /** Trainer GEMM FLOP/s under cache pressure. */
+        double host_flops = 0.0;
+        /** Trainer (or GPU server) NIC goodput, B/s. */
+        double nic = 0.0;
+        /** Sparse-PS shard gather B/s, pooling FLOP/s, NIC goodput. */
+        double ps_gather = 0.0;
+        double ps_pool = 0.0;
+        double ps_nic = 0.0;
+        /** Aggregate dense-PS NIC goodput, B/s (0 = no dense PS). */
+        double dense_ps = 0.0;
+        /** EASGD dense-sync bytes per iteration (amortized). */
+        double dense_sync_bytes = 0.0;
+        /** remoteCacheHitFraction(). */
+        double remote_hit = 0.0;
+    };
+
+    Rates deriveRates() const;
     IterationEstimate estimateCpu() const;
     IterationEstimate estimateGpu() const;
 
-    /** Seconds of each graph node, in node order (nodeBreakdown()
-     *  pairs them with the ids). The GPU path splits @p phases, the
+    /** Prices in node order. The GPU path splits @p phases, the
      *  breakdown of estimateGpu(). */
-    std::vector<double> nodeSecondsCpu() const;
-    std::vector<double> nodeSecondsGpu(
+    std::vector<NodePrice> priceCpu() const;
+    std::vector<NodePrice> priceGpu(
         const std::vector<PhaseTime>& phases) const;
 
     /** Sparse-PS aggregate serving capacity, examples/s (0 = none). */
@@ -285,6 +343,9 @@ class IterationModel
     placement::PlacementPlan plan_;
     graph::StepGraph graph_;
     graph::WorkSummary summary_;
+    Rates rates_;
+    std::vector<NodePrice> prices_;
+    IterationEstimate estimate_;
 };
 
 } // namespace cost

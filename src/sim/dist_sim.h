@@ -3,18 +3,21 @@
  * Discrete-event simulation of distributed DLRM training (Fig 4 of the
  * paper): trainer servers running Hogwild worker threads, sparse
  * parameter servers serving embedding lookups, a dense parameter server
- * handling EASGD syncs, all connected by bandwidth/latency links.
+ * handling EASGD syncs, or one GPU server, all connected by links.
  *
- * Relative to the closed-form IterationModel, the DES captures queueing
- * at shared services, pipeline overlap across Hogwild workers, and
- * run-to-run variability (optional lognormal service-time noise) — the
- * machinery behind the utilization-distribution study (Fig 5).
- *
- * Service demands are folds over the model's StepGraph (the same IR the
- * cost model and the real trainer consume): aggregate work from
- * IterationModel::workSummary(), per-shard traffic shares from the
- * graph's Comm nodes, and per-node time attribution reported back in
- * DistSimResult::node_seconds under the graph node ids.
+ * The DES is a list scheduler over the priced StepGraph. It prices
+ * nothing itself: cost::IterationModel::prices() gives every node one
+ * (resource, seconds) pair, and each worker iteration walks the graph
+ * in topological order, starting a node when its deps finish and
+ * holding the node's resource instance for its price. What the DES adds
+ * to the prices is what the closed-form model abstracts away:
+ *  - queueing at shared resources (PS shards, the dense PS, a trainer's
+ *    CPU and NIC under several workers);
+ *  - link latency after each transfer;
+ *  - overlap across Hogwild workers, and within an iteration wherever
+ *    the dep edges allow it;
+ *  - run-to-run variability (optional lognormal noise on every price),
+ *    the machinery behind the utilization-distribution study (Fig 5).
  */
 #pragma once
 
@@ -36,10 +39,9 @@ struct DistSimConfig
     cost::SystemConfig system;
     cost::CostParams params;
 
-    /** Simulated seconds of the measurement window. */
+    /** Simulated seconds of the measurement window, which opens
+     *  after 0.05 simulated seconds of warmup. */
     double measure_seconds = 2.0;
-    /** Iterations per trainer worker before measurement starts. */
-    uint64_t warmup_iterations = 4;
     /**
      * Lognormal sigma multiplying every service demand; 0 disables
      * noise. Models the paper's run-to-run system-level variability.
@@ -68,11 +70,12 @@ struct DistSimResult
     std::map<std::string, double> utilization;
 
     /**
-     * Mean simulated seconds per iteration attributed to each StepGraph
-     * node (keyed by graph::Node::id, the same ids the analytical
-     * nodeBreakdown() and the trainer's obs spans report under).
-     * Includes queueing delay at shared services; compute intervals are
-     * subdivided across the compute nodes by their modeled cost.
+     * Mean simulated seconds per iteration of each StepGraph node, from
+     * the tick its deps finish to the tick it finishes (keyed by
+     * graph::Node::id, the same ids the analytical nodeBreakdown() and
+     * the trainer's obs spans report under). That is the node's price,
+     * plus its queueing at its resource and a link's latency. Nodes
+     * priced at zero are left out.
      */
     std::map<std::string, double> node_seconds;
 
@@ -86,6 +89,10 @@ struct DistSimResult
  * Supported systems: CPU distributed training (trainers + sparse/dense
  * PS) and single-GPU-server training with any placement. Infeasible
  * placements return feasible == false, mirroring IterationModel.
+ * Resource instances are reported in `utilization` under the names
+ * trainer<t>.cpu, trainer<t>.nic, sparse_ps<s>.mem|cpu|nic,
+ * dense_ps.nic, gpu.compute, gpu.mem, gpu.interconnect, host.mem,
+ * host.cpu, host.pcie and gpu_server.nic, as the system has them.
  */
 DistSimResult runDistSim(const DistSimConfig& config);
 

@@ -209,7 +209,6 @@ smallCpuSim(uint64_t seed)
         model::DlrmConfig::testSuite(64, 8, 100000, 128, 2, 4.0, 16);
     cfg.system = cost::SystemConfig::cpuSetup(2, 1, 1, 512, 2);
     cfg.measure_seconds = 0.05;
-    cfg.warmup_iterations = 2;
     cfg.service_noise_sigma = 0.25;  // noise on: determinism is earned
     cfg.seed = seed;
     return cfg;

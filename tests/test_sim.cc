@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "cost/iteration_model.h"
+#include "graph/step_graph.h"
 #include "model/config.h"
 #include "sim/dist_sim.h"
 
@@ -147,6 +150,32 @@ TEST(DistSim, InfeasiblePlacementMirrorsAnalyticalModel)
     EXPECT_FALSE(result.infeasible_reason.empty());
 }
 
+TEST(DistSim, InfeasiblePlanSkipsLoweringAndPricing)
+{
+    // The 100M-row Fig 12 point overflows the CPU setup's one sparse
+    // PS. Construction stops after planning, so nothing is lowered or
+    // priced, and a trainer-side cache has no rows to split.
+    DistSimConfig cfg;
+    cfg.model = model::DlrmConfig::testSuite(256, 64, 100000000);
+    cfg.system = cost::SystemConfig::cpuSetup(1, 1, 1, 200, 1);
+    cfg.system.remote_cache_bytes = 1e9;
+    const cost::IterationModel im(cfg.model, cfg.system);
+    EXPECT_TRUE(im.stepGraph().nodes.empty());
+    EXPECT_TRUE(im.nodeBreakdown().empty());
+    EXPECT_TRUE(im.prices().empty());
+    EXPECT_EQ(im.remoteCacheHitFraction(), 0.0);
+
+    const auto est = im.estimate();
+    EXPECT_FALSE(est.feasible);
+    EXPECT_FALSE(est.infeasible_reason.empty());
+    EXPECT_EQ(est.power_watts, cfg.system.totalPowerWatts());
+    EXPECT_GT(est.power_watts, 0.0);
+
+    const auto result = runDistSim(cfg);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_FALSE(result.infeasible_reason.empty());
+}
+
 TEST(DistSim, MoreTrainersMoreThroughput)
 {
     auto cfg = cpuConfig();
@@ -189,6 +218,117 @@ TEST(DistSim, NoiseSeedsProduceDifferentRuns)
     cfg.seed = 2;
     const double b = runDistSim(cfg).throughput;
     EXPECT_NE(a, b);
+}
+
+struct ContractSetup
+{
+    std::string name;
+    model::DlrmConfig model;
+    cost::SystemConfig system;
+};
+
+/** test_golden's breakdown setups, the CPU one with one trainer, plus
+ *  that CPU setup under synchronous dense sync. */
+std::vector<ContractSetup>
+contractSetups()
+{
+    const auto m1 = model::DlrmConfig::m1Prod();
+    const auto m3 = model::DlrmConfig::m3Prod();
+    const auto cpu = cost::SystemConfig::cpuSetup(1, 8, 2, 200, 1);
+    auto cpu_sync = cpu;
+    cpu_sync.sync_mode = cost::SyncMode::Sync;
+    using cost::SystemConfig;
+    return {
+        {"cpu", m1, cpu},
+        {"cpu_sync", m1, cpu_sync},
+        {"bb_gpu_memory", m1,
+         SystemConfig::bigBasinSetup(EmbeddingPlacement::GpuMemory, 1600)},
+        {"bb_host_memory", m1,
+         SystemConfig::bigBasinSetup(EmbeddingPlacement::HostMemory,
+                                     1600)},
+        {"bb_remote_ps", m1,
+         SystemConfig::bigBasinSetup(EmbeddingPlacement::RemotePs, 1600,
+                                     4)},
+        {"bb_hybrid", m3,
+         SystemConfig::bigBasinSetup(EmbeddingPlacement::Hybrid, 1600)},
+        {"zion_gpu_memory", m1,
+         SystemConfig::zionSetup(EmbeddingPlacement::GpuMemory, 1600)},
+        {"zion_host_memory", m1,
+         SystemConfig::zionSetup(EmbeddingPlacement::HostMemory, 1600)},
+        {"zion_remote_ps", m1,
+         SystemConfig::zionSetup(EmbeddingPlacement::RemotePs, 1600, 4)},
+        {"zion_hybrid", m3,
+         SystemConfig::zionSetup(EmbeddingPlacement::Hybrid, 1600)},
+    };
+}
+
+/** Latency of the link a Comm node crosses, 0 for other nodes. */
+double
+linkLatency(const graph::Node& node, const hw::Platform& platform)
+{
+    const double ps = hw::Platform::dualSocketCpu().network.latency;
+    switch (node.comm) {
+      case graph::CommOp::PsRequest:
+      case graph::CommOp::GradPush:
+        return platform.network.latency;
+      case graph::CommOp::PsResponse:
+      case graph::CommOp::DenseSync:
+        return ps;
+      case graph::CommOp::AllToAll:
+      case graph::CommOp::AllReduce:
+        return platform.gpu_interconnect.latency;
+      case graph::CommOp::PcieStage:
+        return platform.host_gpu.latency;
+      default:
+        return 0.0;
+    }
+}
+
+TEST(DistSim, OneWorkerRunsEveryNodeAtItsPriceWithinTheGraphBounds)
+{
+    // With one worker and no noise, the DES may only add to the
+    // prices: every node holds its resource at least as long as the
+    // cost model prices it, and an iteration lies between the
+    // critical path and the serial sum plus the link latencies, each
+    // widened by one tick of rounding per node.
+    for (const ContractSetup& s : contractSetups()) {
+        SCOPED_TRACE(s.name);
+        DistSimConfig cfg;
+        cfg.model = s.model;
+        cfg.system = s.system;
+        cfg.system.hogwild_threads = 1;
+        cfg.measure_seconds = 1.0;
+        const cost::IterationModel im(cfg.model, cfg.system);
+        const auto est = im.estimate();
+        const auto result = runDistSim(cfg);
+        ASSERT_TRUE(est.feasible);
+        ASSERT_TRUE(result.feasible);
+        ASSERT_GT(result.iterations, 0u);
+
+        std::vector<std::string> short_nodes;
+        for (const cost::NodeTime& node : im.nodeBreakdown()) {
+            if (node.seconds <= 0.0)
+                continue;
+            const auto it = result.node_seconds.find(node.node_id);
+            const double simulated =
+                it == result.node_seconds.end() ? 0.0 : it->second;
+            if (simulated < node.seconds - 1e-9)
+                short_nodes.push_back(node.node_id);
+        }
+        EXPECT_TRUE(short_nodes.empty())
+            << short_nodes.size() << " nodes run shorter than their "
+            << "price, first " << short_nodes.front();
+
+        const auto& nodes = im.stepGraph().nodes;
+        double latencies = 0.0;
+        for (const graph::Node& node : nodes)
+            latencies += linkLatency(node, cfg.system.platform);
+        const double ticks = 1e-9 * static_cast<double>(nodes.size());
+        EXPECT_GE(result.mean_iteration_seconds,
+                  est.critical_path_seconds - ticks);
+        EXPECT_LE(result.mean_iteration_seconds,
+                  est.serial_sum_seconds + latencies + ticks);
+    }
 }
 
 TEST(DistSim, RemotePlacementSlowerThanGpuMemory)
