@@ -155,6 +155,10 @@ enum class Resource
     Pcie
 };
 
+/** Number of Resource values (Pcie is the last). */
+inline constexpr std::size_t kNumResources =
+    static_cast<std::size_t>(Resource::Pcie) + 1;
+
 /** The price of one StepGraph node: what it holds, and for how long. */
 struct NodePrice
 {

@@ -23,10 +23,6 @@ using des::secondsToTicks;
 using des::Tick;
 using des::ticksToSeconds;
 
-/** Resource::Pcie is the last enumerator. */
-constexpr std::size_t kResourceKinds =
-    static_cast<std::size_t>(Resource::Pcie) + 1;
-
 /**
  * One resource instance: a FIFO server of seconds of work, or a link,
  * whose transfers also take its latency after leaving the wire (so
@@ -105,7 +101,7 @@ class Simulation
     std::vector<Instance> instances_;
     /** Instance indices of each resource kind: one per trainer for the
      *  Trainer* kinds, one per shard for the Ps* kinds, else one. */
-    std::array<std::vector<std::size_t>, kResourceKinds> by_kind_;
+    std::array<std::vector<std::size_t>, cost::kNumResources> by_kind_;
 
     /** Every trainer's iteration, trainer-major, each in topological
      *  order, and the flattened deps the steps index. */

@@ -168,6 +168,7 @@ TEST(DistSim, InfeasiblePlanSkipsLoweringAndPricing)
     const auto est = im.estimate();
     EXPECT_FALSE(est.feasible);
     EXPECT_FALSE(est.infeasible_reason.empty());
+    EXPECT_EQ(est.infeasible_reason, im.plan().infeasible_reason);
     EXPECT_EQ(est.power_watts, cfg.system.totalPowerWatts());
     EXPECT_GT(est.power_watts, 0.0);
 
