@@ -85,8 +85,8 @@ struct Variant
     /** Median wall time of the measured iterations. */
     double measured_iter_seconds = 0.0;
     std::size_t measured_iters = 0;
-    /** Measured wall seconds of each iteration and each node, summed
-     *  over the variant's jobs. */
+    /** Every measured iteration's wall seconds, and each node's wall
+     *  seconds summed, over the variant's jobs. */
     std::vector<double> iter_seconds;
     std::map<std::string, double> node_total;
     /** Flight-recorder samples from the variant's first measured job. */

@@ -112,8 +112,8 @@ class Simulation
 
     /** Scratch: ready and finish ticks of the iteration in flight. */
     std::vector<Tick> ready_, finish_;
-    /** Committed per-node seconds over the measurement window. */
-    std::vector<double> node_accum_;
+    /** Committed per-node ticks over the measurement window. */
+    std::vector<Tick> node_accum_;
 
     Tick measure_start_ = 0;
     Tick measure_end_ = 0;
@@ -258,7 +258,7 @@ Simulation::run()
     buildSteps(n_trainers);
     ready_.assign(n_nodes, 0);
     finish_.assign(n_nodes, 0);
-    node_accum_.assign(n_nodes, 0.0);
+    node_accum_.assign(n_nodes, 0);
 
     const std::size_t workers_per_trainer =
         std::max<std::size_t>(sys.hogwild_threads, 1);
@@ -300,8 +300,10 @@ Simulation::run()
         const auto& nodes = analytical_.stepGraph().nodes;
         const double n = static_cast<double>(iterations_done_);
         for (std::size_t i = 0; i < n_nodes; ++i) {
-            if (node_accum_[i] > 0.0)
-                result.node_seconds[nodes[i].id] = node_accum_[i] / n;
+            if (node_accum_[i] > 0) {
+                result.node_seconds[nodes[i].id] =
+                    ticksToSeconds(node_accum_[i]) / n;
+            }
         }
     }
     return result;
@@ -351,7 +353,7 @@ Simulation::iterate(std::size_t w)
         ++iterations_done_;
         latency_sum_ += ticksToSeconds(end - start);
         for (std::size_t i = 0; i < n_nodes; ++i)
-            node_accum_[i] += ticksToSeconds(finish_[i] - ready_[i]);
+            node_accum_[i] += finish_[i] - ready_[i];
     }
     if (end < measure_end_)
         eq_.schedule(end, [this, w] { iterate(w); });
