@@ -18,6 +18,7 @@
 #include "cost/iteration_model.h"
 #include "model/dlrm.h"
 #include "nn/optimizer.h"
+#include "train/step_runner.h"
 #include "train/trainer.h"
 #include "util/string_utils.h"
 #include "util/units.h"
@@ -77,11 +78,10 @@ main(int argc, char** argv)
         const auto cfg = model::applyMixedDimensions(tiny, alpha, 4);
         model::Dlrm dlrm(cfg, 7);
         nn::Adagrad opt(0.05f);
-        for (std::size_t i = 0; i < 280; ++i) {
-            const auto batch = ds.epochBatch(i * 64 % 18000, 64);
-            dlrm.forwardBackward(batch);
-            dlrm.step(opt);
-        }
+        const auto graph = graph::buildModelStepGraph(cfg);
+        const auto serial = train::GraphExecutor::serial(graph);
+        for (std::size_t i = 0; i < 280; ++i)
+            serial.trainStep(dlrm, ds.epochBatch(i * 64 % 18000, 64), opt);
         train::TrainResult result;
         train::evaluateModel(dlrm, ds, 4000, result);
         quality.row({

@@ -19,6 +19,7 @@
 #include "model/dlrm.h"
 #include "nn/loss.h"
 #include "nn/quantized_embedding.h"
+#include "train/step_runner.h"
 #include "train/trainer.h"
 #include "util/string_utils.h"
 
@@ -79,11 +80,10 @@ main(int argc, char** argv)
     // Train an FP32 master.
     model::Dlrm dlrm(tiny, 3);
     nn::Adagrad opt(0.05f);
-    for (std::size_t i = 0; i < 250; ++i) {
-        const auto batch = ds.epochBatch(i * 64 % 16000, 64);
-        dlrm.forwardBackward(batch);
-        dlrm.step(opt);
-    }
+    const auto graph = graph::buildModelStepGraph(tiny);
+    const auto serial = train::GraphExecutor::serial(graph);
+    for (std::size_t i = 0; i < 250; ++i)
+        serial.trainStep(dlrm, ds.epochBatch(i * 64 % 16000, 64), opt);
     const auto eval = ds.epochBatch(16000, 4000);
 
     util::TextTable quality;

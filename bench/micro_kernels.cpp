@@ -3,7 +3,8 @@
  * Kernel benchmark with a serial-vs-parallel regression gate. Measures
  * the library's hot compute kernels — GEMM variants, elementwise ops,
  * embedding-bag forward/backward and sparse updates, the quantized
- * dequant path and the full DLRM step — once with a 1-thread pool and
+ * dequant path and the full DLRM step (forward, loss and backward
+ * through the serial GraphExecutor) — once with a 1-thread pool and
  * once with N threads, and emits BENCH_kernels.json (GFLOP/s for GEMMs,
  * elem/s, lookups/s, rows/s or examples/s elsewhere) for CI to diff and
  * gate on.
@@ -37,6 +38,7 @@
 #include "obs/pool_metrics.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
+#include "train/step_runner.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -413,9 +415,11 @@ main(int argc, char** argv)
         ds_cfg.sparse = cfg.sparse;
         data::SyntheticCtrDataset ds(ds_cfg);
         const auto mb = ds.nextBatch(batch);
+        const auto graph = graph::buildModelStepGraph(cfg);
+        const auto serial = train::GraphExecutor::serial(graph);
         h.run("dlrm_fwd_bwd", "examples/s", static_cast<double>(batch),
               [&] {
-                  dlrm.forwardBackward(mb);
+                  serial.runStep(dlrm, mb);
                   dlrm.zeroGrad();
               });
     }

@@ -133,12 +133,13 @@ IterationModel::IterationModel(model::DlrmConfig model_config,
     estimate_ = gpu ? estimateGpu() : estimateCpu();
     prices_ = gpu ? priceGpu(estimate_.breakdown) : priceCpu();
 
-    // Critical-path fold over the graph edges: the iteration's lower
-    // bound under perfect overlap, with each node at its price. This
-    // rides alongside the calibrated max/sum estimate above — it does
-    // not change iteration_seconds — and overlap_efficiency =
-    // critical/sum is how much of the serial work the edges can hide
-    // (PS-sharded placements hide most sparse comm, Sec. V).
+    // Critical-path fold over the graph edges: the lower bound of any
+    // fold of the prices that keeps the edges, with each node at its
+    // price. This rides alongside the calibrated max/sum estimate
+    // above — it neither changes nor bounds iteration_seconds — and
+    // overlap_efficiency = critical/sum is how much of the serial work
+    // the edges can hide (PS-sharded placements hide most sparse comm,
+    // Sec. V).
     std::vector<double> seconds;
     seconds.reserve(prices_.size());
     double sum = 0.0;

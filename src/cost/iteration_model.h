@@ -229,8 +229,13 @@ struct IterationEstimate
      *  (every node serialized). */
     double serial_sum_seconds = 0.0;
     /** Longest path through the StepGraph's dep edges with each node
-     *  costed at its nodeBreakdown() seconds: the iteration's lower
-     *  bound under perfect comm/compute overlap. */
+     *  costed at its nodeBreakdown() seconds: a lower bound on any
+     *  fold of the node prices that keeps the edges (the DES's
+     *  one-worker, noise-free iteration is one). It does not bound
+     *  iteration_seconds on the CPU path: the calibrated
+     *  max(compute, network) lets the grad pushes and the dense sync
+     *  overlap compute although the graph orders them after the
+     *  optimizer, so it can read below the critical path. */
     double critical_path_seconds = 0.0;
     /** critical_path_seconds / serial_sum_seconds, in (0, 1]. Low
      *  values = the edges hide most of the work (e.g. async PS

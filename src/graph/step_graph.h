@@ -305,9 +305,9 @@ struct StepGraph
     /**
      * Length of the longest path through the dep DAG where node i
      * costs node_seconds[i] (one entry per node): finish(i) =
-     * node_seconds[i] + max(finish(dep)), result = max over nodes. With
-     * per-node seconds this is the iteration lower bound under perfect
-     * overlap — the serial sum divided by it is the graph's inherent
+     * node_seconds[i] + max(finish(dep)), result = max over nodes: the
+     * shortest any schedule of those node times that keeps the edges
+     * can take — the serial sum divided by it is the graph's inherent
      * parallelism. A memoized walk over the deps; panics, like
      * topoOrder(), on a cycle or an out-of-range dep.
      */

@@ -44,6 +44,14 @@ Dlrm::Dlrm(const DlrmConfig& config, uint64_t seed, double max_bytes)
                 : std::make_unique<nn::Linear>(dim, config_.emb_dim,
                                                rng));
     }
+    for (auto* mlp : {bottom_.get(), top_.get()}) {
+        for (auto& layer : mlp->layers())
+            dense_layers_.push_back(&layer);
+    }
+    for (auto& proj : projections_) {
+        if (proj)
+            dense_layers_.push_back(proj.get());
+    }
     pooled_raw_.resize(config_.numSparse());
     pooled_.resize(config_.numSparse());
     d_pooled_raw_.resize(config_.numSparse());
@@ -326,8 +334,12 @@ Dlrm::backwardEmbedding(std::size_t f, const data::MiniBatch& batch)
 }
 
 void
-Dlrm::runForwardGraph(const data::MiniBatch& batch)
+Dlrm::forward(const data::MiniBatch& batch, tensor::Tensor& logits)
 {
+    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
+                  "batch has {} sparse features, model expects {}",
+                  batch.sparse.size(), tables_.size());
+    RECSIM_TRACE_SPAN("model.fwd");
     {
         obs::TraceSpan mlp_span("nn.mlp.fwd");
         for (std::size_t i = 0; i < bottom_->numLayers(); ++i)
@@ -344,66 +356,14 @@ Dlrm::runForwardGraph(const data::MiniBatch& batch)
         for (std::size_t i = 0; i < top_->numLayers(); ++i)
             forwardTopLayer(i);
     }
-}
-
-void
-Dlrm::runBackwardGraph(const data::MiniBatch& batch)
-{
-    {
-        obs::TraceSpan mlp_span("nn.mlp.bwd");
-        for (std::size_t i = top_->numLayers(); i-- > 0;)
-            backwardTopLayer(i);
-    }
-    backwardInteraction();
-    {
-        obs::TraceSpan mlp_span("nn.mlp.bwd");
-        for (std::size_t i = bottom_->numLayers(); i-- > 0;)
-            backwardBottomLayer(i, batch);
-    }
-    for (std::size_t f = 0; f < tables_.size(); ++f) {
-        if (projections_[f])
-            backwardProjection(f);
-        backwardEmbedding(f, batch);
-    }
-}
-
-void
-Dlrm::forward(const data::MiniBatch& batch, tensor::Tensor& logits)
-{
-    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
-                  "batch has {} sparse features, model expects {}",
-                  batch.sparse.size(), tables_.size());
-    RECSIM_TRACE_SPAN("model.fwd");
-    runForwardGraph(batch);
     logits = logits_;
-}
-
-double
-Dlrm::forwardBackward(const data::MiniBatch& batch)
-{
-    RECSIM_ASSERT(batch.sparse.size() == tables_.size(),
-                  "batch has {} sparse features, model expects {}",
-                  batch.sparse.size(), tables_.size());
-    double loss = 0.0;
-    {
-        RECSIM_TRACE_SPAN("model.fwd");
-        runForwardGraph(batch);
-    }
-    loss = lossBackward(batch);
-    RECSIM_TRACE_SPAN("model.bwd");
-    runBackwardGraph(batch);
-    return loss;
 }
 
 void
 Dlrm::zeroGrad()
 {
-    bottom_->zeroGrad();
-    top_->zeroGrad();
-    for (auto& proj : projections_) {
-        if (proj)
-            proj->zeroGrad();
-    }
+    for (nn::Linear* layer : dense_layers_)
+        layer->zeroGrad();
     // Clearing rows (the size the optimizers iterate) is enough;
     // keeping the values buffer lets the next backward reuse it.
     for (auto& g : sparse_grads_)
@@ -414,12 +374,8 @@ template <typename Opt>
 void
 Dlrm::stepDenseWith(Opt& opt)
 {
-    opt.step(*bottom_);
-    opt.step(*top_);
-    for (auto& proj : projections_) {
-        if (proj)
-            opt.step(*proj);
-    }
+    for (nn::Linear* layer : dense_layers_)
+        opt.step(*layer);
 }
 
 template <typename Opt>
@@ -468,37 +424,13 @@ Dlrm::stepDense(nn::Adagrad& opt)
     stepDenseWith(opt);
 }
 
-double
-Dlrm::evalLoss(const data::MiniBatch& batch)
-{
-    tensor::Tensor logits;
-    forward(batch, logits);
-    return nn::bceWithLogitsLoss(logits, batch.labels);
-}
-
-double
-Dlrm::evalNormalizedEntropy(const data::MiniBatch& batch)
-{
-    tensor::Tensor logits;
-    forward(batch, logits);
-    return nn::normalizedEntropy(logits, batch.labels);
-}
-
 std::vector<tensor::Tensor*>
 Dlrm::denseParams()
 {
     std::vector<tensor::Tensor*> params;
-    for (auto* mlp : {bottom_.get(), top_.get()}) {
-        for (auto& layer : mlp->layers()) {
-            params.push_back(&layer.weight);
-            params.push_back(&layer.bias);
-        }
-    }
-    for (auto& proj : projections_) {
-        if (proj) {
-            params.push_back(&proj->weight);
-            params.push_back(&proj->bias);
-        }
+    for (nn::Linear* layer : dense_layers_) {
+        params.push_back(&layer->weight);
+        params.push_back(&layer->bias);
     }
     return params;
 }
@@ -506,11 +438,9 @@ Dlrm::denseParams()
 std::size_t
 Dlrm::numDenseParams() const
 {
-    std::size_t total = bottom_->numParams() + top_->numParams();
-    for (const auto& proj : projections_) {
-        if (proj)
-            total += proj->numParams();
-    }
+    std::size_t total = 0;
+    for (const nn::Linear* layer : dense_layers_)
+        total += layer->numParams();
     return total;
 }
 

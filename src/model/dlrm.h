@@ -29,8 +29,9 @@ namespace model {
  * Trainable DLRM instance.
  *
  * One instance supports one in-flight forward/backward at a time; for
- * multi-threaded training each worker owns a replica (EASGD) or all
- * workers share one instance and race (Hogwild, by design).
+ * multi-threaded training each worker steps its own replica and trades
+ * parameters with one shared instance (train/async_workers.h), racing
+ * on it where the algorithm does (Hogwild, by design).
  */
 class Dlrm
 {
@@ -43,25 +44,24 @@ class Dlrm
     explicit Dlrm(const DlrmConfig& config, uint64_t seed = 1,
                   double max_bytes = 4.0 * (1ULL << 30));
 
-    /** Forward pass only; fills logits [B, 1]. */
-    void forward(const data::MiniBatch& batch, tensor::Tensor& logits);
-
     /**
-     * Forward + loss + full backward. Dense grads accumulate in the
-     * MLP layers; sparse grads are stored per table (see sparseGrads()).
-     * @return Mean BCE loss of the batch.
+     * The forward oracle: the forward primitives below, called in a
+     * fixed order without a StepGraph; fills logits [B, 1]. The
+     * serving engine's logits are checked against it, and
+     * train::evaluateModel runs it.
      */
-    double forwardBackward(const data::MiniBatch& batch);
+    void forward(const data::MiniBatch& batch, tensor::Tensor& logits);
 
     // --- Graph-walk execution -------------------------------------
     // Stepwise primitives mapping 1:1 onto the StepGraph nodes of one
     // training step (graph/step_graph.h): bottom_mlp.l{i} -> the
     // forward/backwardBottomLayer pair, emb.t{f} -> *Embedding,
-    // proj.t{f} -> *Projection, and so on. Visiting the nodes in graph
-    // order (reversed for the backward half) reproduces forward() /
-    // forwardBackward() exactly — that walk is
-    // train::GraphExecutor::serial(), whose dispatch tags an obs span
-    // with each node id; a grouped lookup node runs each member's
+    // proj.t{f} -> *Projection, and so on. Every training step runs
+    // them through train::GraphExecutor's one dispatch, which tags an
+    // obs span with each node id: visiting the nodes in graph order
+    // (reversed for the backward half) is
+    // train::GraphExecutor::serial(), and the forward half reproduces
+    // forward() exactly. A grouped lookup node runs each member's
     // backwardEmbedding in group order. Each primitive assumes the
     // ones its node depends on already ran.
     // The MLP/projection primitives take @p fused from the node's
@@ -165,17 +165,11 @@ class Dlrm
     void stepDense(const nn::Sgd& opt);
     void stepDense(nn::Adagrad& opt);
 
-    /** Mean BCE loss on a batch without touching grads. */
-    double evalLoss(const data::MiniBatch& batch);
-
-    /** Normalized entropy on a batch. */
-    double evalNormalizedEntropy(const data::MiniBatch& batch);
-
     /**
      * Logits of the most recent forward pass ([B, 1]); valid after
-     * forward(), forwardBackward() or a graph-walk forward. The
-     * serving engine reads scores here after
-     * GraphExecutor::runForward() without paying forward()'s copy.
+     * forward() or a graph-walk forward. The serving engine reads
+     * scores here after GraphExecutor::runForward() without paying
+     * forward()'s copy.
      */
     const tensor::Tensor& logits() const { return logits_; }
 
@@ -189,9 +183,17 @@ class Dlrm
     }
 
     /**
-     * All dense parameter tensors (MLP weights and biases), for EASGD
-     * elastic averaging between replicas and the center model.
+     * Every dense layer: the bottom MLP's, the top MLP's, then the
+     * projections. stepDense() and the async trainers' dense traffic
+     * walk this list.
      */
+    const std::vector<nn::Linear*>& denseLayers() const
+    {
+        return dense_layers_;
+    }
+
+    /** The weight and bias of every denseLayers() entry, in that
+     *  order: the dense section of a checkpoint. */
     std::vector<tensor::Tensor*> denseParams();
 
     /** Total dense parameter count. */
@@ -202,11 +204,6 @@ class Dlrm
     template <typename Opt> void stepWith(Opt& opt);
     template <typename Opt> void stepDenseWith(Opt& opt);
 
-    /** The forward graph walk shared by forward() and the trainer. */
-    void runForwardGraph(const data::MiniBatch& batch);
-    /** The backward graph walk (after lossBackward()). */
-    void runBackwardGraph(const data::MiniBatch& batch);
-
     DlrmConfig config_;
     std::unique_ptr<nn::Mlp> bottom_;
     std::unique_ptr<nn::Mlp> top_;
@@ -216,6 +213,10 @@ class Dlrm
      * project up through a learned Linear (null for full-width tables).
      */
     std::vector<std::unique_ptr<nn::Linear>> projections_;
+    /** denseLayers(), listed once at construction; the layers live in
+     *  the MLPs' fixed layer vectors and in projections_, so they
+     *  never move. */
+    std::vector<nn::Linear*> dense_layers_;
     nn::CatInteraction cat_;
     nn::DotInteraction dot_;
 

@@ -18,6 +18,8 @@ namespace train {
 /** EASGD-specific knobs on top of TrainConfig. */
 struct EasgdConfig
 {
+    /** Only batch_size, learning_rate, epochs and model_seed are read;
+     *  the workers always step plain SGD. */
     TrainConfig base;
     /** Number of worker replicas (simulated trainer servers). */
     std::size_t num_workers = 4;
@@ -32,10 +34,13 @@ struct EasgdConfig
 };
 
 /**
- * Train with @p config.num_workers EASGD replicas. Dense parameters
- * elastically average with a center copy every sync_period steps;
- * embedding tables are shared (model-parallel sparse PS, as in
- * production). Returns metrics of the center model.
+ * Train with @p config.num_workers EASGD replicas
+ * (train/async_workers.h). Each replica steps its dense layers
+ * (projections included) with SGD and elastically averages them with
+ * a center copy every sync_period steps; embedding tables are shared
+ * (model-parallel sparse PS, as in production) and take each worker's
+ * sparse SGD push without locking. Returns metrics of the center
+ * model.
  */
 TrainResult trainEasgd(const model::DlrmConfig& model_config,
                        data::SyntheticCtrDataset& dataset,

@@ -17,15 +17,21 @@ namespace train {
 /** Hogwild-specific knobs on top of TrainConfig. */
 struct HogwildConfig
 {
+    /** Only batch_size, learning_rate, epochs and model_seed are read;
+     *  the workers always push plain SGD. */
     TrainConfig base;
     /** Concurrent lock-free workers (the paper's "N hogwild"). */
     std::size_t num_threads = 4;
 };
 
 /**
- * Train one shared model with @p config.num_threads lock-free workers.
- * The training set is partitioned across workers; each performs
- * SGD/Adagrad steps on the shared parameters without synchronization.
+ * Train one shared model with @p config.num_threads lock-free workers
+ * (train/async_workers.h). The training set is partitioned across
+ * workers. Each step, a worker pulls the shared dense parameters and
+ * the embedding rows its batch touches, runs the step on its replica,
+ * and pushes -learning_rate x gradient into every dense layer
+ * (projections included) and every touched row, all without
+ * synchronization.
  */
 TrainResult trainHogwild(const model::DlrmConfig& model_config,
                          data::SyntheticCtrDataset& dataset,

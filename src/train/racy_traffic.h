@@ -43,12 +43,29 @@ copyRow(const float* src, float* dst, std::size_t dim)
         dst[j] = src[j];
 }
 
-/** Racy SGD push of one sparse-gradient row into a shared table. */
+/** Racy SGD push of @p dim gradient values into shared parameters:
+ *  one embedding row, or a dense layer's weight or bias. */
 RECSIM_NO_SANITIZE_THREAD inline void
 pushRow(float* row, const float* grad, std::size_t dim, float lr)
 {
     for (std::size_t j = 0; j < dim; ++j)
         row[j] -= lr * grad[j];
+}
+
+/**
+ * Pull the weight and bias of every dense layer of @p shared
+ * (denseLayers(): the MLPs' and the projections') into @p replica.
+ * Lock-free: another worker may be pushing into them.
+ */
+inline void
+pullDenseParams(const model::Dlrm& shared, model::Dlrm& replica)
+{
+    const auto& from = shared.denseLayers();
+    const auto& to = replica.denseLayers();
+    for (std::size_t l = 0; l < from.size(); ++l) {
+        copyTensor(from[l]->weight, to[l]->weight);
+        copyTensor(from[l]->bias, to[l]->bias);
+    }
 }
 
 /**
@@ -89,28 +106,30 @@ pushSparseGrads(model::Dlrm& shared, model::Dlrm& replica, float lr)
 }
 
 /**
- * Apply the dense gradients accumulated in one layer of @p src to the
- * matching layer of @p dst without locking (the Hogwild update).
+ * SGD-push the gradient of every dense layer of @p replica
+ * (denseLayers(): the MLPs' and the projections') into the matching
+ * layer of @p shared, without locking (the Hogwild update).
  */
-RECSIM_NO_SANITIZE_THREAD inline void
-applyLayerGrads(nn::Linear& dst, const nn::Linear& src, float lr)
+inline void
+pushDenseGrads(model::Dlrm& shared, const model::Dlrm& replica, float lr)
 {
-    float* w = dst.weight.data();
-    const float* gw = src.gradWeight.data();
-    for (std::size_t i = 0; i < dst.weight.size(); ++i)
-        w[i] -= lr * gw[i];
-    float* bias = dst.bias.data();
-    const float* gb = src.gradBias.data();
-    for (std::size_t i = 0; i < dst.bias.size(); ++i)
-        bias[i] -= lr * gb[i];
+    const auto& dst = shared.denseLayers();
+    const auto& src = replica.denseLayers();
+    for (std::size_t l = 0; l < dst.size(); ++l) {
+        pushRow(dst[l]->weight.data(), src[l]->gradWeight.data(),
+                dst[l]->weight.size(), lr);
+        pushRow(dst[l]->bias.data(), src[l]->gradBias.data(),
+                dst[l]->bias.size(), lr);
+    }
 }
 
 /**
  * One elastic-averaging pass over a parameter pair: pulls @p x toward
- * @p c and @p c toward @p x by @p alpha of their difference. Racy
- * because ShadowSync's shadow thread averages a worker's parameters
- * while that worker is mid-forward (the worker only locks around its
- * optimizer step — sync stays off the critical path by design).
+ * @p c and @p c toward @p x by @p alpha of their difference. EASGD
+ * runs it under its center lock. It is racy because ShadowSync's
+ * shadow thread averages a worker's parameters while that worker is
+ * mid-forward (the worker only locks around its optimizer step — sync
+ * stays off the critical path by design).
  */
 RECSIM_NO_SANITIZE_THREAD inline void
 elasticAverage(float* c, float* x, std::size_t n, float alpha)
@@ -119,6 +138,21 @@ elasticAverage(float* c, float* x, std::size_t n, float alpha)
         const float diff = x[j] - c[j];
         x[j] -= alpha * diff;
         c[j] += alpha * diff;
+    }
+}
+
+/** elasticAverage() over the weight and bias of every dense layer
+ *  (denseLayers()) of @p center and @p replica. */
+inline void
+elasticAverage(model::Dlrm& center, model::Dlrm& replica, float alpha)
+{
+    const auto& c = center.denseLayers();
+    const auto& x = replica.denseLayers();
+    for (std::size_t l = 0; l < c.size(); ++l) {
+        elasticAverage(c[l]->weight.data(), x[l]->weight.data(),
+                       c[l]->weight.size(), alpha);
+        elasticAverage(c[l]->bias.data(), x[l]->bias.data(),
+                       c[l]->bias.size(), alpha);
     }
 }
 

@@ -24,6 +24,8 @@ namespace train {
 /** ShadowSync-specific knobs on top of TrainConfig. */
 struct ShadowSyncConfig
 {
+    /** Only batch_size, learning_rate, epochs and model_seed are read;
+     *  the workers always step plain SGD. */
     TrainConfig base;
     /** Concurrent worker replicas. */
     std::size_t num_workers = 4;
@@ -41,11 +43,12 @@ struct ShadowSyncConfig
 };
 
 /**
- * Train with @p config.num_workers replicas and one background shadow
- * thread. Workers update the shared embedding tables in place
- * (Hogwild-style, as in production) and never block; the shadow thread
- * elastically averages dense parameters worker-by-worker until all
- * workers finish. Returns metrics of the center model.
+ * Train with @p config.num_workers replicas (train/async_workers.h)
+ * and one background shadow thread. Workers step their dense layers
+ * (projections included) with SGD, update the shared embedding tables
+ * in place (Hogwild-style, as in production) and never block; the
+ * shadow thread elastically averages dense parameters worker-by-worker
+ * until all workers finish. Returns metrics of the center model.
  */
 TrainResult trainShadowSync(const model::DlrmConfig& model_config,
                             data::SyntheticCtrDataset& dataset,

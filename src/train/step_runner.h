@@ -28,13 +28,19 @@ namespace train {
  * dispatched to model primitives), chosen at construction:
  *
  * - the wave schedule (the constructor) runs independent nodes
- *   concurrently, and is what the trainer and the serving engine run;
+ *   concurrently, and is what trainSingleThread and the serving engine
+ *   run;
  * - the serial schedule (serial()) runs one node per wave in node
  *   order, reversed for the backward half, on the calling thread. It
- *   is the oracle the wave schedule is tested against.
+ *   is the oracle the wave schedule is tested against, and the async
+ *   trainers' workers share one to run their steps
+ *   (train/async_workers.h): each worker's nodes then run on that
+ *   worker's own thread.
  *
  * Both run every node through the same dispatch, so they differ only
- * in which nodes may overlap.
+ * in which nodes may overlap. The tests also check both against a
+ * graph-free reference walk of Dlrm's primitives, which checks that
+ * dispatch sends each node kind to the right primitive.
  *
  * The wave schedule partitions the executable nodes into forward
  * *wavefronts*: wave k holds every node whose longest dependency chain
@@ -73,6 +79,11 @@ namespace train {
  * counter and the batch row count — the measured side the
  * obs::DriftMonitor folds against cost::IterationModel predictions.
  * Disabled cost is one relaxed atomic load per node.
+ *
+ * Sharing: the step methods are const, so several threads may run
+ * steps of different models through one executor at once. They share
+ * only the graph, which they read, and the atomic step counter, so
+ * their recorder samples carry interleaved step ids.
  */
 class GraphExecutor
 {

@@ -1,5 +1,7 @@
 #include "train/trainer.h"
 
+#include <algorithm>
+
 #include "graph/step_graph.h"
 #include "nn/loss.h"
 #include "obs/flight_recorder.h"
@@ -11,6 +13,17 @@
 
 namespace recsim {
 namespace train {
+
+double
+tailLoss(const std::vector<double>& step_losses)
+{
+    const std::size_t n = step_losses.size();
+    const std::size_t tail = std::min(n, std::max<std::size_t>(n / 10, 1));
+    double sum = 0.0;
+    for (std::size_t i = n - tail; i < n; ++i)
+        sum += step_losses[i];
+    return tail ? sum / static_cast<double>(tail) : 0.0;
+}
 
 void
 evaluateModel(model::Dlrm& model, data::SyntheticCtrDataset& dataset,
@@ -93,11 +106,8 @@ trainSingleThread(const model::DlrmConfig& model_config,
     TrainResult result;
     const std::size_t steps_per_epoch =
         train_examples / config.batch_size;
-    const std::size_t total_steps = steps_per_epoch * config.epochs;
-    const std::size_t tail_start =
-        total_steps - std::max<std::size_t>(total_steps / 10, 1);
-    double tail_loss = 0.0;
-    std::size_t tail_count = 0;
+    std::vector<double> losses;
+    losses.reserve(steps_per_epoch * config.epochs);
 
     std::size_t step = 0;
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -127,17 +137,13 @@ trainSingleThread(const model::DlrmConfig& model_config,
                 recorder.record(step_channel, step, iter_s, rows);
                 recorder.record(loss_channel, step, loss, rows);
             }
-            if (step >= tail_start) {
-                tail_loss += loss;
-                ++tail_count;
-            }
+            losses.push_back(loss);
             if (config.eval_every && step % config.eval_every == 0)
                 result.loss_curve.emplace_back(step, loss);
         }
     }
     result.steps = step;
-    result.final_train_loss =
-        tail_count ? tail_loss / static_cast<double>(tail_count) : 0.0;
+    result.final_train_loss = tailLoss(losses);
     evaluateModel(model, dataset, eval_examples, result);
     obs::publishThreadPoolMetrics();
     // The run's own pool consumption (jobs/tasks/idle attributable to

@@ -30,8 +30,11 @@ struct TrainConfig
     OptimizerKind optimizer = OptimizerKind::Adagrad;
     std::size_t epochs = 1;
     uint64_t model_seed = 1;
-    /** Evaluate on the held-out set every this many iterations
-     *  (0 = only at the end). */
+    /**
+     * Append (step, training loss) to TrainResult::loss_curve every
+     * this many iterations (0 = never). Nothing is evaluated on the
+     * held-out set along the way; that happens once, at the end.
+     */
     std::size_t eval_every = 0;
     /**
      * Run graph::fusePass over the step graph before training: bias +
@@ -57,7 +60,8 @@ struct TrainConfig
 /** Outcome of a training run. */
 struct TrainResult
 {
-    /** Mean training loss of the final 10% of iterations. */
+    /** Mean training loss of the final 10% of iterations (tailLoss();
+     *  the async trainers average it over workers). */
     double final_train_loss = 0.0;
     /** BCE loss on the held-out evaluation set. */
     double eval_loss = 0.0;
@@ -70,6 +74,13 @@ struct TrainResult
     /** (step, train loss) samples along the run. */
     std::vector<std::pair<std::size_t, double>> loss_curve;
 };
+
+/**
+ * The final-10% rule of TrainResult::final_train_loss, for every
+ * trainer: the mean of the last max(n / 10, 1) of a run's n step
+ * losses (0 when n is 0).
+ */
+double tailLoss(const std::vector<double>& step_losses);
 
 /**
  * Train @p config's model on the train split of @p dataset and evaluate

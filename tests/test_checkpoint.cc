@@ -15,6 +15,8 @@
 #include "train/checkpoint.h"
 #include "util/units.h"
 
+#include "reference_walk.h"
+
 namespace recsim::train {
 namespace {
 
@@ -93,7 +95,7 @@ TEST(Checkpoint, ResumedTrainingMatchesUninterrupted)
                 EXPECT_TRUE(restoreCheckpoint(model, buffer).ok);
             }
             const auto batch = ds.epochBatch(i * 64, 64);
-            model.forwardBackward(batch);
+            test::referenceForwardBackward(model, batch);
             model.step(opt);
         }
         tensor::Tensor logits;
@@ -214,7 +216,8 @@ TEST(CheckpointAdagrad, OptimizerStateRoundTripsBitExact)
     model::Dlrm a(tinyConfig(), 1);
     nn::Adagrad a_opt(0.05f);
     for (std::size_t i = 0; i < 10; ++i) {
-        a.forwardBackward(ds.epochBatch(i * 64, 64));
+        test::referenceForwardBackward(a,
+                                       ds.epochBatch(i * 64, 64));
         a.step(a_opt);
     }
 
@@ -263,7 +266,8 @@ TEST(CheckpointAdagrad, ResumedTrainingMatchesUninterrupted)
                     restore_optimizer ? opt.get() : nullptr);
                 EXPECT_TRUE(status.ok) << status.error;
             }
-            model.forwardBackward(ds.epochBatch(i * 64, 64));
+            test::referenceForwardBackward(model,
+                                           ds.epochBatch(i * 64, 64));
             model.step(*opt);
         }
         tensor::Tensor logits;
@@ -288,7 +292,7 @@ TEST(CheckpointAdagrad, StatelessCheckpointResetsAccumulators)
 
     model::Dlrm model(tinyConfig(), 1);
     nn::Adagrad opt(0.05f);
-    model.forwardBackward(ds.epochBatch(0, 64));
+    test::referenceForwardBackward(model, ds.epochBatch(0, 64));
     model.step(opt);
     const auto stateless = saveCheckpoint(model);  // no optimizer
 
@@ -305,7 +309,7 @@ TEST(CheckpointAdagrad, RejectsTruncatedOptimizerState)
 
     model::Dlrm model(tinyConfig(), 1);
     nn::Adagrad opt(0.05f);
-    model.forwardBackward(ds.epochBatch(0, 64));
+    test::referenceForwardBackward(model, ds.epochBatch(0, 64));
     model.step(opt);
 
     const auto full = saveCheckpoint(model, &opt);
@@ -328,7 +332,7 @@ TEST(CheckpointAdagrad, FileRoundTripCarriesState)
 
     model::Dlrm a(tinyConfig(), 1);
     nn::Adagrad a_opt(0.05f);
-    a.forwardBackward(ds.epochBatch(0, 64));
+    test::referenceForwardBackward(a, ds.epochBatch(0, 64));
     a.step(a_opt);
     ASSERT_TRUE(saveCheckpointFile(a, path, &a_opt));
 

@@ -39,6 +39,8 @@
 #include "util/random.h"
 #include "util/thread_pool.h"
 
+#include "reference_walk.h"
+
 // ---- Counting allocator -------------------------------------------------
 // Global operator new replacement so the zero-allocation contract of
 // EmbeddingBag::backward() is testable: the counter must not move
@@ -227,8 +229,8 @@ trainRun(const model::DlrmConfig& cfg, bool cached, bool adagrad,
     nn::Adagrad ada(0.05f);
     RunFingerprint fp;
     for (std::size_t s = 0; s < steps; ++s) {
-        fp.losses.push_back(
-            model.forwardBackward(data.epochBatch(s * batch, batch)));
+        fp.losses.push_back(test::referenceForwardBackward(
+            model, data.epochBatch(s * batch, batch)));
         if (adagrad)
             model.step(ada);
         else

@@ -4,12 +4,12 @@
  * its wave and serial schedules must each cover every executable node
  * exactly once, and a training run through the waves must stay
  * bitwise-identical to the serial schedule — and both to the
- * graph-free Dlrm::forwardBackward — at every thread-pool size: losses
- * per step and final dense parameters alike, and for trainStep(), which
- * updates each table inside the backward wave, every table and
- * accumulator. The equivalence is the whole contract: inter-op
- * parallelism is only admissible because it cannot change a single bit
- * of the result.
+ * graph-free reference walk (reference_walk.h) — at every thread-pool
+ * size: losses per step and final dense parameters alike, and for
+ * trainStep(), which updates each table inside the backward wave,
+ * every table and accumulator. The equivalence is the whole contract:
+ * inter-op parallelism is only admissible because it cannot change a
+ * single bit of the result.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +27,8 @@
 #include "nn/optimizer.h"
 #include "train/step_runner.h"
 #include "util/thread_pool.h"
+
+#include "reference_walk.h"
 
 namespace recsim::train {
 namespace {
@@ -81,8 +83,8 @@ expectParamsBitwiseEqual(model::Dlrm& a, model::Dlrm& b,
 
 /**
  * Train 5 steps through the serial schedule, through the wave
- * executor and through the graph-free Dlrm::forwardBackward on
- * same-seed models with identical batches, applying SGD each step, and
+ * executor and through the graph-free reference walk on same-seed
+ * models with identical batches, applying SGD each step, and
  * require bitwise-equal losses and final parameters. The graph-free
  * leg checks that dispatch sends each node kind to the right
  * primitive, which the two schedules, sharing it, cannot.
@@ -105,7 +107,7 @@ checkSerialEquivalence(const model::DlrmConfig& cfg,
     const nn::Sgd sgd(0.05f);
     for (std::size_t step = 0; step < 5; ++step) {
         const auto batch = ds.nextBatch(32);
-        const double r = ref_model.forwardBackward(batch);
+        const double r = test::referenceForwardBackward(ref_model, batch);
         const double a = serial.runStep(serial_model, batch);
         const double b = executor.runStep(exec_model, batch);
         EXPECT_TRUE(bitwiseEqual(r, a))

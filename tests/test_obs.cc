@@ -461,20 +461,27 @@ TEST_F(ObsTest, HogwildWorkersGetTheirOwnTracks)
 
     EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
 
-    // Each worker thread records its iterations on a distinct track.
+    // Each worker thread records its iterations on a distinct track,
+    // together with its own node spans: the serial executor runs every
+    // node on the calling worker, so bottom_mlp.l0 shows up twice per
+    // iteration (forward and backward) on that worker's track.
     std::size_t worker_tracks = 0;
     std::size_t total_iterations = 0;
     for (const auto& track : Tracer::global().snapshot()) {
         if (track.simulated)
             continue;
         std::size_t iters = 0;
+        std::size_t l0_visits = 0;
         for (const auto& span : track.spans) {
             if (span.name == "hogwild.iteration")
                 ++iters;
+            else if (span.name == "bottom_mlp.l0")
+                ++l0_visits;
         }
         if (iters > 0) {
             ++worker_tracks;
             total_iterations += iters;
+            EXPECT_EQ(l0_visits, 2 * iters) << "track " << track.name;
         }
     }
     EXPECT_EQ(worker_tracks, kThreads);

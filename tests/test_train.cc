@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "train/easgd.h"
 #include "train/shadow_sync.h"
 #include "train/hogwild.h"
 #include "train/sweep.h"
 #include "train/trainer.h"
+#include "util/thread_pool.h"
 
 namespace recsim::train {
 namespace {
@@ -161,6 +164,46 @@ TEST(Easgd, MoreFrequentSyncTracksCloser)
     // With very rare syncs the center barely moves; NE must be worse
     // (or at best equal) than with tight coupling.
     EXPECT_LE(frequent.eval_ne, rare.eval_ne + 0.05);
+}
+
+// One worker has no races, and every node of its steps runs on the
+// worker's own thread with inner kernels whose chunks do not depend on
+// the pool: the results must not change by a bit with the pool size.
+TEST(AsyncTrainers, OneWorkerResultsBitIdenticalAtPool1And8)
+{
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(6000);
+    HogwildConfig hogwild;
+    hogwild.num_threads = 1;
+    hogwild.base.batch_size = 64;
+    hogwild.base.learning_rate = 0.05f;
+    EasgdConfig easgd;
+    easgd.base = hogwild.base;
+    easgd.num_workers = 1;
+    easgd.sync_period = 4;
+
+    auto& pool = util::globalThreadPool();
+    std::vector<TrainResult> runs;
+    for (const std::size_t threads : {1u, 8u}) {
+        pool.resize(threads);
+        runs.push_back(trainHogwild(tinyModel(), ds, hogwild, 1000));
+        runs.push_back(trainEasgd(tinyModel(), ds, easgd, 1000));
+    }
+    pool.resize(util::configuredThreads());
+
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof(double)) == 0;
+    };
+    for (std::size_t i = 0; i < 2; ++i) {
+        const TrainResult& a = runs[i];
+        const TrainResult& b = runs[i + 2];
+        const char* name = i == 0 ? "hogwild" : "easgd";
+        EXPECT_EQ(a.steps, b.steps) << name;
+        EXPECT_TRUE(same(a.final_train_loss, b.final_train_loss)) << name;
+        EXPECT_TRUE(same(a.eval_loss, b.eval_loss)) << name;
+        EXPECT_TRUE(same(a.eval_ne, b.eval_ne)) << name;
+        EXPECT_TRUE(same(a.eval_accuracy, b.eval_accuracy)) << name;
+    }
 }
 
 TEST(ShadowSync, CenterModelLearns)
