@@ -6,8 +6,8 @@
  * The executor and gradient-check suites compare the executor against
  * it, which checks that dispatch sends each node kind to the right
  * primitive: the executor's two schedules share that dispatch, so
- * they cannot check it against each other. The model and checkpoint
- * suites train through it without depending on src/train.
+ * they cannot check it against each other. The model, mixed-dims,
+ * checkpoint and embedding-backend suites train through it too.
  */
 #pragma once
 
