@@ -525,13 +525,14 @@ TEST(GradCheck, EmbeddingBagWithThreadPool)
     checkEmbeddingBag(Pooling::Mean, 32);
 }
 
-// The wavefront executor, over the plain and the fused graph
+// The wavefront executor, over the plain or the fused graph
 // (graph::fusePass: epilogue-fused GEMMs, grouped embedding lookups),
 // must produce the exact gradients of the graph-free reference walk —
 // bit for bit, at any pool size. The gradients the per-layer suites
 // above validate therefore transfer unchanged to the parallel and the
 // fused step paths.
-TEST(GradCheck, ExecutorGradientsMatchReferenceWalk)
+void
+checkExecutorMatchesReferenceWalk(bool fuse)
 {
     const auto cfg = model::DlrmConfig::tinyReplica(3, 4, 50, 4);
     data::DatasetConfig ds_cfg;
@@ -542,63 +543,70 @@ TEST(GradCheck, ExecutorGradientsMatchReferenceWalk)
     ds.materialize(64);
     const data::MiniBatch batch = ds.epochBatch(0, 8);
 
-    for (const bool fuse : {false, true}) {
-        auto graph = graph::buildModelStepGraph(cfg);
-        if (fuse)
-            graph::fusePass(graph);
-        const train::GraphExecutor executor(graph);
-        for (const std::size_t threads : {1u, 8u}) {
-            ScopedPoolThreads pool(threads);
-            const std::string tag = std::string(fuse ? "fused" : "plain") +
-                " @" + std::to_string(threads) + "t";
-            model::Dlrm reference(cfg, 7);
-            model::Dlrm stepped(cfg, 7);
-            reference.zeroGrad();
-            stepped.zeroGrad();
-            const double a =
-                test::referenceForwardBackward(reference, batch);
-            const double b = executor.runStep(stepped, batch);
-            EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-                << tag << ": " << a << " vs " << b;
+    auto graph = graph::buildModelStepGraph(cfg);
+    if (fuse)
+        graph::fusePass(graph);
+    const train::GraphExecutor executor(graph);
+    for (const std::size_t threads : {1u, 8u}) {
+        ScopedPoolThreads pool(threads);
+        const std::string tag = std::string(fuse ? "fused" : "plain") +
+            " @" + std::to_string(threads) + "t";
+        model::Dlrm reference(cfg, 7);
+        model::Dlrm stepped(cfg, 7);
+        reference.zeroGrad();
+        stepped.zeroGrad();
+        const double a = test::referenceForwardBackward(reference, batch);
+        const double b = executor.runStep(stepped, batch);
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+            << tag << ": " << a << " vs " << b;
 
-            auto check_layers = [&](Mlp& fa, Mlp& fb,
-                                    const std::string& mlp) {
-                ASSERT_EQ(fa.layers().size(), fb.layers().size());
-                for (std::size_t l = 0; l < fa.layers().size(); ++l) {
-                    Linear& x = fa.layers()[l];
-                    Linear& y = fb.layers()[l];
-                    EXPECT_EQ(std::memcmp(x.gradWeight.data(),
-                                          y.gradWeight.data(),
-                                          x.gradWeight.size() *
-                                              sizeof(float)),
-                              0)
-                        << mlp << l << " " << tag;
-                    EXPECT_EQ(std::memcmp(x.gradBias.data(),
-                                          y.gradBias.data(),
-                                          x.gradBias.size() *
-                                              sizeof(float)),
-                              0)
-                        << mlp << l << " " << tag;
-                }
-            };
-            check_layers(reference.bottomMlp(), stepped.bottomMlp(),
-                         "bottom");
-            check_layers(reference.topMlp(), stepped.topMlp(), "top");
-
-            ASSERT_EQ(reference.sparseGrads().size(),
-                      stepped.sparseGrads().size());
-            for (std::size_t t = 0; t < reference.sparseGrads().size();
-                 ++t) {
-                const SparseGrad& x = reference.sparseGrads()[t];
-                const SparseGrad& y = stepped.sparseGrads()[t];
-                ASSERT_EQ(x.rows, y.rows) << "table " << t << " " << tag;
-                EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
-                                      x.values.size() * sizeof(float)),
+        auto check_layers = [&](Mlp& fa, Mlp& fb,
+                                const std::string& mlp) {
+            ASSERT_EQ(fa.layers().size(), fb.layers().size());
+            for (std::size_t l = 0; l < fa.layers().size(); ++l) {
+                Linear& x = fa.layers()[l];
+                Linear& y = fb.layers()[l];
+                EXPECT_EQ(std::memcmp(x.gradWeight.data(),
+                                      y.gradWeight.data(),
+                                      x.gradWeight.size() *
+                                          sizeof(float)),
                           0)
-                    << "table " << t << " " << tag;
+                    << mlp << l << " " << tag;
+                EXPECT_EQ(std::memcmp(x.gradBias.data(),
+                                      y.gradBias.data(),
+                                      x.gradBias.size() *
+                                          sizeof(float)),
+                          0)
+                    << mlp << l << " " << tag;
             }
+        };
+        check_layers(reference.bottomMlp(), stepped.bottomMlp(),
+                     "bottom");
+        check_layers(reference.topMlp(), stepped.topMlp(), "top");
+
+        ASSERT_EQ(reference.sparseGrads().size(),
+                  stepped.sparseGrads().size());
+        for (std::size_t t = 0; t < reference.sparseGrads().size();
+             ++t) {
+            const SparseGrad& x = reference.sparseGrads()[t];
+            const SparseGrad& y = stepped.sparseGrads()[t];
+            ASSERT_EQ(x.rows, y.rows) << "table " << t << " " << tag;
+            EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
+                                  x.values.size() * sizeof(float)),
+                      0)
+                << "table " << t << " " << tag;
         }
     }
+}
+
+TEST(GradCheck, ExecutorGradientsMatchFusedForwardBackward)
+{
+    checkExecutorMatchesReferenceWalk(false);
+}
+
+TEST(GradCheck, FusedGraphGradientsMatchForwardBackward)
+{
+    checkExecutorMatchesReferenceWalk(true);
 }
 
 // Central differences straight through the fully fused graph: the
