@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/trace.h"
 #include "tensor/simd.h"
@@ -22,11 +23,13 @@ namespace recsim {
 namespace bench {
 
 /**
- * Enables tracing for the duration of a bench run when the binary is
- * invoked with `--trace <path>` (or `--trace=<path>`); on destruction
- * writes the Chrome trace JSON to that path and prints the text
- * summary. With no --trace flag this is a no-op, so benchmark numbers
- * stay honest.
+ * Turns the flight recorder on for the duration of a bench run when
+ * the binary is invoked with `--trace <path>` (or `--trace=<path>`);
+ * on destruction writes the Chrome trace JSON of the recorded samples
+ * to that path and prints the text summary. With no --trace flag this
+ * is a no-op, so benchmark numbers stay honest. A bench that
+ * configures, resets or toggles the recorder itself checks active()
+ * and, when set, keeps the samples recorded so far.
  *
  * Usage (first lines of main):
  *   bench::TraceSession trace(argc, argv);
@@ -34,6 +37,10 @@ namespace bench {
 class TraceSession
 {
   public:
+    /** Recorder capacity of a traced run. Rings grow as they fill, so
+     *  a short run pays only for what it records. */
+    static constexpr std::size_t kCapacity = std::size_t(1) << 22;
+
     TraceSession(int argc, char** argv)
     {
         for (int i = 1; i < argc; ++i) {
@@ -45,9 +52,11 @@ class TraceSession
         }
         if (path_.empty())
             return;
-        obs::Tracer::global().reset();
-        obs::Tracer::global().setEnabled(true);
-        top_span_ = std::make_unique<obs::TraceSpan>("bench.main");
+        obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+        recorder.configure(kCapacity);
+        recorder.setEnabled(true);
+        top_span_ = std::make_unique<obs::TraceSpan>(
+            recorder.internChannel("bench.main"));
     }
 
     ~TraceSession()
@@ -55,18 +64,19 @@ class TraceSession
         if (path_.empty())
             return;
         top_span_.reset();
-        obs::Tracer& tracer = obs::Tracer::global();
-        tracer.setEnabled(false);
-        if (tracer.writeChromeTrace(path_)) {
+        obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+        recorder.setEnabled(false);
+        const std::vector<obs::Sample> samples = recorder.snapshot();
+        if (obs::writeChromeTrace(path_, recorder, samples)) {
             std::cout << "\ntrace written to " << path_
                       << " (load in Perfetto or chrome://tracing)\n";
         } else {
             std::cerr << "failed to write trace to " << path_ << "\n";
         }
-        std::cout << tracer.summary();
+        std::cout << obs::summary(recorder, samples);
     }
 
-    /** True when --trace was given and spans are being recorded. */
+    /** True when --trace was given and the recorder is on. */
     bool active() const { return !path_.empty(); }
 
   private:

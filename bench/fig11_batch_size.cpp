@@ -58,7 +58,7 @@ main(int argc, char** argv)
         // about: real trainer threads (a short functional Hogwild run)
         // and simulated nodes (a short DES run of the CPU setup).
         {
-            recsim::obs::TraceSpan span("fig11.hogwild_sample");
+            RECSIM_TRACE_SPAN("fig11.hogwild_sample");
             const auto cfg =
                 model::DlrmConfig::tinyReplica(8, 8, 2000, 16);
             data::DatasetConfig ds_cfg;
@@ -73,7 +73,7 @@ main(int argc, char** argv)
             train::trainHogwild(cfg, ds, hw, 1024);
         }
         {
-            recsim::obs::TraceSpan span("fig11.des_sample");
+            RECSIM_TRACE_SPAN("fig11.des_sample");
             core::TestSuiteParams params;
             sim::DistSimConfig sim_cfg;
             sim_cfg.model = model::DlrmConfig::testSuite(

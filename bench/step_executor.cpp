@@ -285,8 +285,13 @@ main(int argc, char** argv)
         // batch even under --quick.
         const std::size_t telemetry_batch = 256;
         const auto telemetry_mb = ds.nextBatch(telemetry_batch);
+        // Under --trace the session's recorder keeps what it has
+        // recorded and stays on afterwards.
         auto& recorder = obs::FlightRecorder::global();
-        recorder.configure(1 << 16);
+        const bool tracing = trace.active();
+        if (!tracing)
+            recorder.configure(1 << 16);
+        const uint64_t recorded_before = recorder.totalRecorded();
         stats::WindowedHistogram step_hist(0.25);
         obs::PeriodicSampler::Config sampler_cfg;
         sampler_cfg.interval_s = 0.1;
@@ -346,9 +351,10 @@ main(int argc, char** argv)
         telemetry_paired_overhead =
             paired_ratios[paired_ratios.size() / 2];
         sampler_lines = sampler.lines().size();
-        recorder_samples = recorder.totalRecorded();
-        recorder.setEnabled(false);
-        recorder.reset();
+        recorder_samples = recorder.totalRecorded() - recorded_before;
+        recorder.setEnabled(tracing);
+        if (!tracing)
+            recorder.reset();
     }
     std::cout << util::format(
         "telemetry: serial {} examples/s disabled, {} enabled "

@@ -5,8 +5,8 @@
  * operator graph report time under the same node ids —
  *   predicted  — IterationModel::nodeBreakdown() (closed-form rates),
  *   simulated  — the DES's DistSimResult::node_seconds (queueing),
- *   measured   — the real trainer, whose graph walk tags an obs span
- *                with every node id (train/step_runner.cc).
+ *   measured   — the real trainer, whose graph walk records a span
+ *                under every node id (train/step_runner.cc).
  * Agreement per node id is evidence that the three consumers read the
  * graph the same way; the residual gaps are the documented abstractions
  * (queueing in the DES, malloc/dispatch noise in the measurement).
@@ -39,7 +39,6 @@
 #include "obs/drift.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/dist_sim.h"
 #include "train/trainer.h"
 #include "util/string_utils.h"
@@ -55,6 +54,8 @@ constexpr std::size_t kEval = 1024;
 /** Which variant trains in each measured job: unfused and fused in
  *  alternation, so neither column collects all of the host's drift. */
 constexpr bool kFusedJobs[] = {false, true, true, false, false, true};
+/** Recorder capacity of a job run without --trace. */
+constexpr std::size_t kRecorderCapacity = 1 << 16;
 
 std::string
 us(double seconds)
@@ -145,14 +146,17 @@ priceVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
 
 /**
  * One measured training job on @p v's graph: the real trainer walks
- * the same graph, and every node id becomes a wall-clock span. Comm
- * nodes have no in-process counterpart and stay blank in the measured
- * column. The first job's flight-recorder samples feed the drift
- * monitor.
+ * the same graph, and every node visit records a span under its node
+ * id. Comm nodes have no in-process counterpart and stay blank in the
+ * measured column. The job's span samples give the measured column
+ * and the iteration times, and the first job's also feed the drift
+ * monitor. Under --trace (@p own_recording false) the session's
+ * recorder stays on and keeps its samples, so the job reads only the
+ * ones that start after it does.
  */
 void
 measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
-           bool own_tracing, double hot_tier_bytes = 0.0)
+           bool own_recording, double hot_tier_bytes = 0.0)
 {
     data::DatasetConfig data_cfg;
     data_cfg.num_dense = m.num_dense;
@@ -175,55 +179,44 @@ measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
         obs::MetricsRegistry::global().reset();
     }
 
-    // Under --trace the session's tracer keeps every job's spans; count
-    // only the spans this job adds to each track.
-    obs::Tracer& tracer = obs::Tracer::global();
-    std::map<std::string, std::size_t> earlier_spans;
-    if (own_tracing) {
-        tracer.reset();
-        tracer.setEnabled(true);
-    } else {
-        for (const auto& track : tracer.snapshot())
-            earlier_spans[track.name] = track.spans.size();
-    }
-    // The flight recorder captures per-node samples alongside the
-    // trace spans; the drift monitor folds them against the
-    // prediction column.
     obs::FlightRecorder& recorder = obs::FlightRecorder::global();
-    recorder.configure(1 << 15);
-    recorder.setEnabled(true);
+    if (own_recording) {
+        recorder.configure(kRecorderCapacity);
+        recorder.setEnabled(true);
+    }
+    const uint64_t job_start = recorder.nowNs();
     train::trainSingleThread(m, dataset, train_cfg, kEval);
     if (hot_tier_bytes > 0.0)
         v.measured_hit_rate = measuredHitRate();
-    recorder.setEnabled(false);
-    const bool first_job = v.iter_seconds.empty();
-    if (first_job)
-        v.rec_samples = recorder.snapshot();
-    recorder.reset();
-    const auto tracks = tracer.snapshot();
-    if (own_tracing) {
-        tracer.setEnabled(false);
-        tracer.reset();
+    // The job's wall-clock samples: under --trace the DES runs of
+    // priceVariant() left simulated spans on the same node channels.
+    const std::vector<obs::Sample> recorded = recorder.snapshot();
+    const std::vector<obs::Track> tracks = recorder.tracks();
+    std::vector<obs::Sample> samples;
+    for (const obs::Sample& sample : recorded) {
+        if (sample.t_ns >= job_start && !tracks[sample.track].simulated)
+            samples.push_back(sample);
+    }
+    if (own_recording) {
+        recorder.setEnabled(false);
+        recorder.reset();
     }
 
+    const bool first_job = v.iter_seconds.empty();
+    const std::vector<std::string> names = recorder.channels();
+    for (const obs::Sample& sample : samples) {
+        if (!sample.span)
+            continue;
+        const std::string& name = names[sample.channel];
+        v.node_total[name] += sample.value;
+        if (name == "train.iteration")
+            v.iter_seconds.push_back(sample.value);
+    }
     if (first_job) {
         obs::DriftMonitor monitor(v.predicted);
-        monitor.ingest(recorder, v.rec_samples);
+        monitor.ingest(recorder, samples);
         v.drift = monitor.report();
-    }
-
-    for (const auto& track : tracks) {
-        if (track.simulated)
-            continue;
-        const auto seen = earlier_spans.find(track.name);
-        const std::size_t skip =
-            seen == earlier_spans.end() ? 0 : seen->second;
-        for (std::size_t i = skip; i < track.spans.size(); ++i) {
-            const auto& span = track.spans[i];
-            v.node_total[span.name] += span.seconds();
-            if (span.name == "train.iteration")
-                v.iter_seconds.push_back(span.seconds());
-        }
+        v.rec_samples = std::move(samples);
     }
 }
 
@@ -437,13 +430,13 @@ main(int argc, char** argv)
     const double hot_tier_budget = 0.3 * 1.25 * m.embeddingBytes();
     cached_sys.emb_hot_tier_bytes = hot_tier_budget;
 
-    const bool own_tracing = !trace_session.active();
+    const bool own_recording = !trace_session.active();
     Variant unfused = priceVariant(m, sys, params);
     Variant fused = priceVariant(m, sys, fused_params);
     Variant cached = priceVariant(m, cached_sys, params);
     for (const bool fuse : kFusedJobs)
-        measureJob(fuse ? fused : unfused, m, fuse, own_tracing);
-    measureJob(cached, m, false, own_tracing, hot_tier_budget);
+        measureJob(fuse ? fused : unfused, m, fuse, own_recording);
+    measureJob(cached, m, false, own_recording, hot_tier_budget);
     for (Variant* v : {&unfused, &fused, &cached})
         summarizeJobs(*v);
 

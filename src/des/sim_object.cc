@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 #include "util/logging.h"
 
 namespace recsim {
@@ -36,9 +36,13 @@ Resource::acquireAt(Tick earliest, double units)
     busy_ += service;
     // Busy intervals become sim-time trace spans, so PS memory/CPU and
     // NIC saturation is visible on the same timeline as the workers.
-    if (obs::Tracer::enabled() && service > 0)
-        obs::Tracer::global().addSimSpan(name(), "busy", start,
-                                         free_at_);
+    if (obs::FlightRecorder::enabled() && service > 0) {
+        auto& recorder = obs::FlightRecorder::global();
+        static const uint32_t busy = recorder.internChannel("busy");
+        if (track_ == ~0u)
+            track_ = recorder.internSimTrack(name());
+        recorder.recordSimSpan(track_, busy, start, free_at_);
+    }
     return free_at_;
 }
 

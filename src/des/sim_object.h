@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "des/event_queue.h"
@@ -72,6 +73,9 @@ class Resource : public SimObject
     double rate_;
     Tick free_at_ = 0;
     Tick busy_ = 0;
+    /** The simulated track its busy spans land on, interned on the
+     *  first one (~0u until then). */
+    uint32_t track_ = ~0u;
 };
 
 /**

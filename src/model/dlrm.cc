@@ -81,7 +81,6 @@ void
 Dlrm::forwardEmbeddingGroup(const std::vector<int>& group,
                             const data::MiniBatch& batch)
 {
-    RECSIM_TRACE_SPAN("nn.emb.fwd");
     struct Unit
     {
         std::size_t f, e0, e1;
@@ -340,22 +339,16 @@ Dlrm::forward(const data::MiniBatch& batch, tensor::Tensor& logits)
                   "batch has {} sparse features, model expects {}",
                   batch.sparse.size(), tables_.size());
     RECSIM_TRACE_SPAN("model.fwd");
-    {
-        obs::TraceSpan mlp_span("nn.mlp.fwd");
-        for (std::size_t i = 0; i < bottom_->numLayers(); ++i)
-            forwardBottomLayer(i, batch);
-    }
+    for (std::size_t i = 0; i < bottom_->numLayers(); ++i)
+        forwardBottomLayer(i, batch);
     for (std::size_t f = 0; f < tables_.size(); ++f) {
         forwardEmbedding(f, batch);
         if (projections_[f])
             forwardProjection(f);
     }
     forwardInteraction();
-    {
-        obs::TraceSpan mlp_span("nn.mlp.fwd");
-        for (std::size_t i = 0; i < top_->numLayers(); ++i)
-            forwardTopLayer(i);
-    }
+    for (std::size_t i = 0; i < top_->numLayers(); ++i)
+        forwardTopLayer(i);
     logits = logits_;
 }
 

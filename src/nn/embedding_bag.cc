@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "nn/embedding_backend.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -54,7 +53,6 @@ EmbeddingBag::setBackend(std::shared_ptr<EmbeddingBackend> backend)
 void
 EmbeddingBag::forward(const SparseBatch& batch, tensor::Tensor& out) const
 {
-    RECSIM_TRACE_SPAN("nn.emb.fwd");
     const std::size_t b = batch.batchSize();
     if (out.rank() != 2 || out.rows() != b || out.cols() != dim_)
         out.resize(b, dim_);
@@ -160,7 +158,6 @@ void
 EmbeddingBag::backward(const SparseBatch& batch, const tensor::Tensor& dy,
                        SparseGrad& grad) const
 {
-    RECSIM_TRACE_SPAN("nn.emb.bwd");
     const std::size_t b = batch.batchSize();
     RECSIM_ASSERT(dy.rows() == b && dy.cols() == dim_,
                   "embedding backward dy {}", dy.shapeString());

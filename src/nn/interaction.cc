@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/trace.h"
 #include "tensor/simd.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -23,7 +22,6 @@ CatInteraction::forward(const tensor::Tensor& dense,
                         const std::vector<tensor::Tensor>& embs,
                         tensor::Tensor& out) const
 {
-    RECSIM_TRACE_SPAN("nn.cat.fwd");
     const std::size_t b = dense.rows();
     std::size_t width = dense.cols();
     for (const auto& e : embs) {
@@ -49,7 +47,6 @@ CatInteraction::backward(const tensor::Tensor& dense,
                          const tensor::Tensor& dy, tensor::Tensor& d_dense,
                          std::vector<tensor::Tensor>& d_embs) const
 {
-    RECSIM_TRACE_SPAN("nn.cat.bwd");
     const std::size_t b = dense.rows();
     RECSIM_ASSERT(dy.rows() == b, "cat backward batch mismatch");
     if (!d_dense.sameShape(dense))
@@ -159,7 +156,6 @@ DotInteraction::forward(const tensor::Tensor& dense,
                         const std::vector<tensor::Tensor>& embs,
                         tensor::Tensor& out) const
 {
-    RECSIM_TRACE_SPAN("nn.dot.fwd");
     const std::size_t b = dense.rows();
     const std::size_t d = dense.cols();
     const std::size_t f = embs.size() + 1;
@@ -198,7 +194,6 @@ DotInteraction::backward(const tensor::Tensor& dense,
                          const tensor::Tensor& dy, tensor::Tensor& d_dense,
                          std::vector<tensor::Tensor>& d_embs) const
 {
-    RECSIM_TRACE_SPAN("nn.dot.bwd");
     const std::size_t b = dense.rows();
     const std::size_t d = dense.cols();
     RECSIM_ASSERT(dy.rows() == b &&
@@ -227,7 +222,6 @@ DotInteraction::backwardFused(const tensor::Tensor& dense,
                               tensor::Tensor& d_dense,
                               std::vector<tensor::Tensor>& d_embs) const
 {
-    RECSIM_TRACE_SPAN("nn.dot.bwd");
     const std::size_t b = dense.rows();
     const std::size_t f = embs.size() + 1;
     RECSIM_ASSERT(d_pairs.rows() == b &&

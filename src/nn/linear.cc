@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -24,7 +23,6 @@ Linear::forward(const tensor::Tensor& x, tensor::Tensor& y) const
 {
     RECSIM_ASSERT(x.cols() == in_, "Linear forward {} into [{} -> {}]",
                   x.shapeString(), in_, out_);
-    RECSIM_TRACE_SPAN("nn.linear.fwd");
     tensor::matmul(x, weight, y);
     tensor::addBiasRows(y, bias);
 }
@@ -35,7 +33,6 @@ Linear::forwardFused(const tensor::Tensor& x, tensor::Tensor& y,
 {
     RECSIM_ASSERT(x.cols() == in_, "Linear forward {} into [{} -> {}]",
                   x.shapeString(), in_, out_);
-    RECSIM_TRACE_SPAN("nn.linear.fwd");
     tensor::matmulBiasAct(x, weight, bias, relu, y);
 }
 
@@ -43,7 +40,6 @@ void
 Linear::backward(const tensor::Tensor& x, const tensor::Tensor& dy,
                  tensor::Tensor& dx)
 {
-    RECSIM_TRACE_SPAN("nn.linear.bwd");
     backwardNoInputGrad(x, dy);
     // dx = dy W^T
     tensor::matmulTransB(dy, weight, dx);
@@ -69,7 +65,6 @@ Linear::backwardFused(const tensor::Tensor& x, const tensor::Tensor& dy,
                       tensor::Tensor& dx,
                       const tensor::Tensor* relu_mask)
 {
-    RECSIM_TRACE_SPAN("nn.linear.bwd");
     backwardNoInputGradFused(x, dy);
     tensor::matmulTransBMask(dy, weight, relu_mask, dx);
 }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace recsim {
@@ -36,7 +35,6 @@ double
 bceWithLogits(const tensor::Tensor& logits,
               const std::vector<float>& labels, tensor::Tensor& d_logits)
 {
-    RECSIM_TRACE_SPAN("nn.bce");
     const std::size_t b = labels.size();
     RECSIM_ASSERT(logits.size() == b, "loss: {} logits for {} labels",
                   logits.size(), b);

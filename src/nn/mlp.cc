@@ -1,6 +1,5 @@
 #include "nn/mlp.h"
 
-#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -83,7 +82,6 @@ Mlp::backwardLayerFused(std::size_t i, const tensor::Tensor& x,
 void
 Mlp::forward(const tensor::Tensor& x, tensor::Tensor& y)
 {
-    RECSIM_TRACE_SPAN("nn.mlp.fwd");
     for (std::size_t i = 0; i < layers_.size(); ++i)
         forwardLayer(i, x);
     y = acts_.back();
@@ -95,7 +93,6 @@ Mlp::backward(const tensor::Tensor& x, const tensor::Tensor& dy,
 {
     RECSIM_ASSERT(acts_.back().rows() == dy.rows(),
                   "MLP backward without matching forward");
-    RECSIM_TRACE_SPAN("nn.mlp.bwd");
     for (std::size_t i = layers_.size(); i-- > 0;)
         backwardLayer(i, x, dy, dx);
 }

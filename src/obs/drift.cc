@@ -43,14 +43,18 @@ DriftMonitor::ingest(const FlightRecorder& recorder,
                      const std::vector<Sample>& samples,
                      const std::string& step_channel)
 {
-    // Resolve channel ids to names once; samples only carry ids.
+    // Resolve channel and track ids once; samples only carry ids.
     const std::vector<std::string> names = recorder.channels();
-    // Node samples are summed per (node, step): the executor records
-    // one sample per visit (forward and backward halves separately),
-    // while nodeBreakdown() predicts whole-iteration node seconds.
+    const std::vector<Track> tracks = recorder.tracks();
+    // Node spans are summed per (node, step): the executor records one
+    // span per visit (forward and backward halves separately), while
+    // nodeBreakdown() predicts whole-iteration node seconds.
     std::map<std::pair<uint32_t, uint64_t>, double> per_step;
     for (const Sample& sample : samples) {
-        if (sample.channel >= names.size())
+        // The DES's simulated spans share the node channels.
+        if (sample.channel >= names.size() ||
+            sample.track >= tracks.size() ||
+            tracks[sample.track].simulated)
             continue;
         const std::string& name = names[sample.channel];
         if (name == step_channel) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Predicted-vs-measured drift monitor: folds the flight recorder's
- * per-node samples against the analytical cost model's per-node
+ * per-node spans against the analytical cost model's per-node
  * predictions (cost::IterationModel::nodeBreakdown(), passed in as a
  * plain node_id -> seconds map so obs stays dependency-free) and flags
  *  - *node drift*: a node whose measured mean runtime is off its
@@ -98,16 +98,18 @@ class DriftMonitor
     void observeStep(uint64_t step, double seconds);
 
     /**
-     * Fold recorder samples: samples whose channel name matches a
+     * Fold recorder samples from wall-clock tracks (simulated ones are
+     * skipped). The values of samples whose channel name matches a
      * predicted node id are summed per (node, step) — the executor
-     * emits one sample per visit (forward and backward separately)
+     * records one span per visit (forward and backward separately)
      * while the cost model predicts whole-iteration node seconds —
      * and each per-step total feeds observeNode(). Samples on
-     * @p step_channel feed observeStep(). Other channels are ignored.
+     * @p step_channel, the trainer's per-step span by default, feed
+     * observeStep(). Other channels are ignored.
      */
     void ingest(const FlightRecorder& recorder,
                 const std::vector<Sample>& samples,
-                const std::string& step_channel = "train.step_s");
+                const std::string& step_channel = "train.iteration");
 
     DriftReport report() const;
 

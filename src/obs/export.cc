@@ -14,15 +14,6 @@ namespace obs {
 
 namespace {
 
-uint64_t
-steadyNowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 /** Render a double the way both exporters want: shortest round-trip
  *  representation with enough digits. */
 std::string
@@ -33,6 +24,8 @@ num(double v)
     os << v;
     return os.str();
 }
+
+} // namespace
 
 std::string
 jsonEscape(const std::string& s)
@@ -58,8 +51,6 @@ jsonEscape(const std::string& s)
     }
     return out;
 }
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // Prometheus text exposition

@@ -31,6 +31,9 @@
 namespace recsim {
 namespace obs {
 
+/** @p s with JSON string escaping applied (no surrounding quotes). */
+std::string jsonEscape(const std::string& s);
+
 /**
  * Sanitize a dot-scoped metric name into a legal Prometheus metric
  * name: [a-zA-Z_:][a-zA-Z0-9_:]*, with '.' and any other illegal

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -12,11 +14,6 @@ namespace detail {
 std::atomic<bool> g_recorder_enabled{false};
 } // namespace detail
 
-namespace {
-
-constexpr std::size_t kStripes = 16;
-constexpr std::size_t kDefaultCapacity = 1 << 16;
-
 uint64_t
 steadyNowNs()
 {
@@ -26,11 +23,25 @@ steadyNowNs()
             .count());
 }
 
+namespace {
+
+constexpr std::size_t kStripes = 16;
+constexpr std::size_t kDefaultCapacity = 1 << 16;
+constexpr uint32_t kNoTrack = ~0u;
+
+/** The calling thread's wall-clock track and the stripe it writes. */
+struct ThreadSlot
+{
+    uint32_t track = kNoTrack;
+    std::size_t stripe = 0;
+};
+thread_local ThreadSlot t_slot;
+
 } // namespace
 
 /**
  * One stripe: a ring written by (usually) one thread. The mutex is
- * per-stripe, so record() takes it uncontended in the common case;
+ * per-stripe, so a record takes it uncontended in the common case;
  * snapshot()/size() walk all stripes.
  */
 struct Stripe
@@ -49,33 +60,70 @@ struct FlightRecorder::Impl
     Stripe stripes[kStripes];
     std::size_t stripe_capacity = kDefaultCapacity / kStripes;
     std::atomic<uint64_t> epoch_ns{steadyNowNs()};
-    std::atomic<std::size_t> next_stripe{0};
 
-    mutable std::mutex channel_mutex;
+    /** Guards the channel and track tables. */
+    mutable std::mutex names_mutex;
     std::unordered_map<std::string, uint32_t> channel_ids;
     std::vector<std::string> channel_names;
+    std::unordered_map<std::string, uint32_t> sim_track_ids;
+    std::vector<Track> tracks;
+    std::size_t wall_tracks = 0;
+
+    /** The calling thread's slot, registering its track on first use
+     *  (the only time a thread takes names_mutex to record). */
+    const ThreadSlot& threadSlot()
+    {
+        if (t_slot.track == kNoTrack) {
+            std::lock_guard<std::mutex> lock(names_mutex);
+            t_slot.track = static_cast<uint32_t>(tracks.size());
+            t_slot.stripe = wall_tracks % kStripes;
+            tracks.push_back(
+                {"thread-" + std::to_string(wall_tracks++), false});
+        }
+        return t_slot;
+    }
+
+    /** Append @p sample to the calling thread's stripe. */
+    void push(const Sample& sample, std::size_t stripe_index)
+    {
+        Stripe& stripe = stripes[stripe_index];
+        const std::size_t cap = stripe_capacity;
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        if (stripe.ring.size() < cap) {
+            // Grow lazily toward the stripe capacity: an idle stripe
+            // costs nothing.
+            stripe.ring.push_back(sample);
+            stripe.head = stripe.ring.size() % cap;
+            stripe.filled = stripe.ring.size();
+        } else {
+            stripe.ring[stripe.head] = sample;
+            stripe.head = (stripe.head + 1) % cap;
+        }
+        ++stripe.written;
+    }
+
+    void clear(bool release_memory)
+    {
+        for (auto& stripe : stripes) {
+            std::lock_guard<std::mutex> lock(stripe.mutex);
+            stripe.ring.clear();
+            if (release_memory)
+                stripe.ring.shrink_to_fit();
+            stripe.head = 0;
+            stripe.filled = 0;
+            stripe.written = 0;
+        }
+        epoch_ns.store(steadyNowNs(), std::memory_order_relaxed);
+    }
 };
-
-namespace {
-
-/** Round-robin stripe assignment, sticky per thread. */
-std::size_t
-threadStripe(std::atomic<std::size_t>& next)
-{
-    thread_local std::size_t stripe =
-        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return stripe;
-}
-
-} // namespace
 
 FlightRecorder::FlightRecorder() : impl_(new Impl()) {}
 
 FlightRecorder&
 FlightRecorder::global()
 {
-    // Leaky singleton, same rationale as Tracer::global(): worker
-    // threads may record during static destruction.
+    // Leaky singleton: worker threads may record during static
+    // destruction of other objects, so the recorder is never torn down.
     static FlightRecorder* recorder = new FlightRecorder();
     return *recorder;
 }
@@ -92,16 +140,8 @@ FlightRecorder::configure(std::size_t capacity)
     RECSIM_ASSERT(capacity >= kStripes,
                   "flight recorder capacity {} < {} stripes", capacity,
                   kStripes);
-    for (auto& stripe : impl_->stripes) {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        stripe.ring.clear();
-        stripe.ring.shrink_to_fit();
-        stripe.head = 0;
-        stripe.filled = 0;
-        stripe.written = 0;
-    }
+    impl_->clear(/*release_memory=*/true);
     impl_->stripe_capacity = capacity / kStripes;
-    impl_->epoch_ns.store(steadyNowNs(), std::memory_order_relaxed);
 }
 
 std::size_t
@@ -119,21 +159,18 @@ FlightRecorder::numStripes() const
 uint32_t
 FlightRecorder::internChannel(const std::string& name)
 {
-    std::lock_guard<std::mutex> lock(impl_->channel_mutex);
-    const auto it = impl_->channel_ids.find(name);
-    if (it != impl_->channel_ids.end())
-        return it->second;
-    const uint32_t id =
-        static_cast<uint32_t>(impl_->channel_names.size());
-    impl_->channel_ids.emplace(name, id);
-    impl_->channel_names.push_back(name);
-    return id;
+    std::lock_guard<std::mutex> lock(impl_->names_mutex);
+    const auto [it, inserted] = impl_->channel_ids.emplace(
+        name, static_cast<uint32_t>(impl_->channel_names.size()));
+    if (inserted)
+        impl_->channel_names.push_back(name);
+    return it->second;
 }
 
 std::string
 FlightRecorder::channelName(uint32_t channel) const
 {
-    std::lock_guard<std::mutex> lock(impl_->channel_mutex);
+    std::lock_guard<std::mutex> lock(impl_->names_mutex);
     if (channel >= impl_->channel_names.size())
         return "?";
     return impl_->channel_names[channel];
@@ -142,8 +179,26 @@ FlightRecorder::channelName(uint32_t channel) const
 std::vector<std::string>
 FlightRecorder::channels() const
 {
-    std::lock_guard<std::mutex> lock(impl_->channel_mutex);
+    std::lock_guard<std::mutex> lock(impl_->names_mutex);
     return impl_->channel_names;
+}
+
+uint32_t
+FlightRecorder::internSimTrack(const std::string& name)
+{
+    std::lock_guard<std::mutex> lock(impl_->names_mutex);
+    const auto [it, inserted] = impl_->sim_track_ids.emplace(
+        name, static_cast<uint32_t>(impl_->tracks.size()));
+    if (inserted)
+        impl_->tracks.push_back({name, true});
+    return it->second;
+}
+
+std::vector<Track>
+FlightRecorder::tracks() const
+{
+    std::lock_guard<std::mutex> lock(impl_->names_mutex);
+    return impl_->tracks;
 }
 
 void
@@ -152,28 +207,52 @@ FlightRecorder::record(uint32_t channel, uint64_t step, double value,
 {
     if (!enabled())
         return;
+    const ThreadSlot& slot = impl_->threadSlot();
     Sample sample;
     sample.t_ns = nowNs();
     sample.step = step;
+    sample.value = value;
     sample.channel = channel;
     sample.rows = rows;
-    sample.value = value;
+    sample.track = slot.track;
+    impl_->push(sample, slot.stripe);
+}
 
-    Stripe& stripe =
-        impl_->stripes[threadStripe(impl_->next_stripe)];
-    const std::size_t cap = impl_->stripe_capacity;
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    if (stripe.ring.size() < cap) {
-        // Grow lazily toward the stripe capacity: an idle stripe
-        // costs nothing.
-        stripe.ring.push_back(sample);
-        stripe.head = stripe.ring.size() % cap;
-        stripe.filled = stripe.ring.size();
-    } else {
-        stripe.ring[stripe.head] = sample;
-        stripe.head = (stripe.head + 1) % cap;
-    }
-    ++stripe.written;
+void
+FlightRecorder::recordSpan(uint32_t channel, uint64_t start_ns,
+                           uint64_t step, uint32_t rows)
+{
+    const uint64_t epoch = impl_->epoch_ns.load(std::memory_order_relaxed);
+    const uint64_t end_ns = steadyNowNs();
+    if (start_ns < epoch)
+        return;  // Opened before the last reset().
+    const ThreadSlot& slot = impl_->threadSlot();
+    Sample sample;
+    sample.t_ns = start_ns - epoch;
+    sample.dur_ns = end_ns - start_ns;
+    sample.step = step;
+    sample.value = static_cast<double>(sample.dur_ns) * 1e-9;
+    sample.channel = channel;
+    sample.rows = rows;
+    sample.track = slot.track;
+    sample.span = true;
+    impl_->push(sample, slot.stripe);
+}
+
+void
+FlightRecorder::recordSimSpan(uint32_t track, uint32_t channel,
+                              uint64_t start_ns, uint64_t end_ns)
+{
+    if (!enabled() || end_ns < start_ns)
+        return;
+    Sample sample;
+    sample.t_ns = start_ns;
+    sample.dur_ns = end_ns - start_ns;
+    sample.value = static_cast<double>(sample.dur_ns) * 1e-9;
+    sample.channel = channel;
+    sample.track = track;
+    sample.span = true;
+    impl_->push(sample, impl_->threadSlot().stripe);
 }
 
 uint64_t
@@ -232,6 +311,8 @@ FlightRecorder::snapshot() const
               [](const Sample& a, const Sample& b) {
                   if (a.t_ns != b.t_ns)
                       return a.t_ns < b.t_ns;
+                  if (a.dur_ns != b.dur_ns)
+                      return a.dur_ns > b.dur_ns;
                   if (a.step != b.step)
                       return a.step < b.step;
                   return a.channel < b.channel;
@@ -242,14 +323,7 @@ FlightRecorder::snapshot() const
 void
 FlightRecorder::reset()
 {
-    for (auto& stripe : impl_->stripes) {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        stripe.ring.clear();
-        stripe.head = 0;
-        stripe.filled = 0;
-        stripe.written = 0;
-    }
-    impl_->epoch_ns.store(steadyNowNs(), std::memory_order_relaxed);
+    impl_->clear(/*release_memory=*/false);
 }
 
 } // namespace obs

@@ -1,25 +1,34 @@
 /**
  * @file
- * Flight recorder: a fixed-capacity, per-thread-striped ring buffer of
- * structured per-step / per-batch samples — the time-resolved side of
- * the observability layer. Where the MetricsRegistry aggregates
- * (count/mean/min/max forever) and the Tracer records unbounded span
- * lists, the recorder answers "what happened around step 4812" with
- * bounded memory: the last `capacity()` samples are always available,
- * older ones are overwritten (and counted as dropped).
+ * Flight recorder: the one event store of the observability layer, a
+ * fixed-capacity, per-thread-striped ring buffer of samples. Where the
+ * MetricsRegistry aggregates (count/mean/min/max forever), the
+ * recorder answers "what happened around step 4812" with bounded
+ * memory: the last `capacity()` samples are always available, older
+ * ones are overwritten (and counted as dropped). The Chrome trace and
+ * the text summary (obs/trace.h) and the DriftMonitor (obs/drift.h)
+ * all read its snapshot().
  *
- * A sample is a 32-byte POD: timestamp (ns since the recorder epoch),
- * step/batch sequence number, an interned channel id (a named series —
- * "train.step_s", "serve.batch_s", or a StepGraph node id recorded by
- * the executor), the batch row count, and a double value. Channels are
- * interned once (mutex + map) and recorded by integer id, so the
- * record path never hashes strings.
+ * A sample is one of two kinds:
+ *  - a value ("train.loss", "serve.queue_depth", "*.cache.hit_rate"),
+ *    which has zero duration;
+ *  - a span (an obs::TraceSpan, one GraphExecutor node visit, a DES
+ *    busy interval), which has a start and a duration, and whose value
+ *    is that duration in seconds.
+ * Every sample also carries a step/batch number, the batch row count,
+ * an interned channel id (the series name: a span name such as
+ * "train.iteration", or a StepGraph node id) and a track: the
+ * recording thread's wall-clock track, or a named simulated track
+ * whose timestamps are sim-clock nanoseconds (the DES). Channels and
+ * simulated tracks are interned once (mutex + map) and recorded by
+ * integer id, so the record path never hashes strings.
  *
- * Cost model, mirroring the Tracer: every instrumentation site starts
- * with one relaxed atomic load (FlightRecorder::enabled(), via
- * recorderEnabled() which additionally folds to `false` at compile
- * time under RECSIM_OBS_DISABLED). The enabled path takes one
- * uncontended per-stripe mutex: stripes are assigned per thread
+ * Cost model: recording is off by default, and setEnabled() is the
+ * only switch, for spans and values alike. Every instrumentation site
+ * starts with one relaxed atomic load (FlightRecorder::enabled(), or
+ * recorderEnabled(), which folds to `false` at compile time under
+ * RECSIM_OBS_DISABLED). The enabled path takes one uncontended
+ * per-stripe mutex: each thread writes the stripe of its track
  * (round-robin over a fixed stripe array), so trainer, executor
  * workers and serving drivers never contend on one lock, and
  * snapshot() can read consistent samples without stopping writers.
@@ -28,9 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace recsim {
@@ -40,14 +47,30 @@ namespace detail {
 extern std::atomic<bool> g_recorder_enabled;
 } // namespace detail
 
-/** One recorded observation. POD, 32 bytes. */
+/** Nanoseconds on the steady clock, the recorder's time base. */
+uint64_t steadyNowNs();
+
+/** One recorded observation. POD, 48 bytes. */
 struct Sample
 {
-    uint64_t t_ns = 0;     ///< Nanoseconds since the recorder epoch.
+    /** Start: nanoseconds since the recorder epoch, or sim-clock
+     *  nanoseconds on a simulated track. */
+    uint64_t t_ns = 0;
+    uint64_t dur_ns = 0;   ///< Span length; 0 for a value.
     uint64_t step = 0;     ///< Step / batch sequence number.
+    double value = 0.0;    ///< The value; a span's duration in seconds.
     uint32_t channel = 0;  ///< Interned channel id.
     uint32_t rows = 0;     ///< Batch rows (0 when not applicable).
-    double value = 0.0;
+    uint32_t track = 0;    ///< Track id, an index into tracks().
+    bool span = false;     ///< A span rather than a value.
+};
+
+/** Where samples land: one per recording thread, or a simulated one. */
+struct Track
+{
+    std::string name;
+    /** Sim-clock timestamps (a DES resource or worker). */
+    bool simulated = false;
 };
 
 /**
@@ -67,14 +90,15 @@ class FlightRecorder
             std::memory_order_relaxed);
     }
 
-    /** Turn recording on/off. Samples offered while off are dropped
-     *  before any work happens. */
+    /** Turn recording on/off. Samples offered and spans opened while
+     *  off are dropped before any work happens. */
     void setEnabled(bool on);
 
     /**
      * Resize total capacity (split evenly over the stripes, so the
      * retention per thread is capacity / numStripes). Drops all held
-     * samples and restarts the epoch; interned channels survive.
+     * samples and restarts the epoch; interned channels and tracks
+     * survive.
      */
     void configure(std::size_t capacity);
 
@@ -94,10 +118,36 @@ class FlightRecorder
     /** All interned channel names, indexed by id. */
     std::vector<std::string> channels() const;
 
-    /** Record one sample (timestamped now) on the calling thread's
-     *  stripe. No-op while disabled. Thread-safe. */
+    /** Id of the simulated track @p name, creating it on first use;
+     *  as stable as a channel id. */
+    uint32_t internSimTrack(const std::string& name);
+
+    /**
+     * Every track, indexed by id. A thread's wall-clock track,
+     * "thread-N", registers when the thread first records and keeps
+     * its id for the thread's life.
+     */
+    std::vector<Track> tracks() const;
+
+    /** Record one value (timestamped now) on the calling thread's
+     *  track. No-op while disabled. Thread-safe. */
     void record(uint32_t channel, uint64_t step, double value,
                 uint32_t rows = 0);
+
+    /**
+     * Record a span that opened at @p start_ns (a steadyNowNs()
+     * reading) and closes now, on the calling thread's track. The
+     * opener checked enabled(), so the span is recorded even if
+     * recording stopped since; one that opened before the last
+     * configure() or reset() is dropped. Thread-safe.
+     */
+    void recordSpan(uint32_t channel, uint64_t start_ns, uint64_t step,
+                    uint32_t rows);
+
+    /** Record a span of sim-clock nanoseconds [@p start_ns, @p end_ns]
+     *  on simulated @p track. No-op while disabled. Thread-safe. */
+    void recordSimSpan(uint32_t track, uint32_t channel,
+                       uint64_t start_ns, uint64_t end_ns);
 
     /** Nanoseconds since the recorder epoch (construction, configure()
      *  or reset()). */
@@ -106,7 +156,7 @@ class FlightRecorder
     /** Samples currently retained across all stripes. */
     std::size_t size() const;
 
-    /** Samples ever offered to record() while enabled (monotone). */
+    /** Samples ever recorded since configure() or reset(). */
     uint64_t totalRecorded() const;
 
     /** Samples overwritten by ring wraparound: totalRecorded - size. */
@@ -114,13 +164,14 @@ class FlightRecorder
 
     /**
      * Copy of the retained samples, merged across stripes and sorted
-     * by (t_ns, step, channel). Thread-safe against concurrent
-     * record() calls.
+     * by start, the longer span first at a tie (so an enclosing span
+     * precedes what it encloses), then step and channel. Thread-safe
+     * against concurrent writers.
      */
     std::vector<Sample> snapshot() const;
 
-    /** Drop all samples and restart the epoch. Channels and capacity
-     *  survive (live instrumentation sites keep their cached ids). */
+    /** Drop all samples and restart the epoch. Channels, tracks and
+     *  capacity survive (live sites keep their cached ids). */
     void reset();
 
   private:

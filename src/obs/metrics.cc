@@ -12,7 +12,7 @@ namespace obs {
 MetricsRegistry&
 MetricsRegistry::global()
 {
-    // Leaky singleton, same rationale as Tracer::global().
+    // Leaky singleton, same rationale as FlightRecorder::global().
     static MetricsRegistry* registry = new MetricsRegistry();
     return *registry;
 }

@@ -36,7 +36,7 @@ InferenceEngine::InferenceEngine(const model::DlrmConfig& config,
 double
 InferenceEngine::scoreBatch(const data::MiniBatch& batch)
 {
-    obs::TraceSpan span("serve.batch");
+    RECSIM_TRACE_SPAN("serve.batch");
     const double t0 = nowSeconds();
     executor_->runForward(*model_, batch);
     return nowSeconds() - t0;

@@ -8,7 +8,7 @@
 #include "des/event_queue.h"
 #include "des/sim_object.h"
 #include "graph/step_graph.h"
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -82,6 +82,8 @@ class Simulation
         std::size_t trainer = 0;
         /** Trace track, e.g. "trainer0.w1" / "gpu.w0". */
         std::string track;
+        /** Its interned simulated track (internTraceNames()). */
+        uint32_t track_id = 0;
     };
 
     /** Add an instance of @p kind; latency < 0 makes a server. */
@@ -91,6 +93,9 @@ class Simulation
     void buildSteps(std::size_t trainers);
     /** Run worker @p w's iteration starting now; re-arm at its end. */
     void iterate(std::size_t w);
+    /** Intern the workers' tracks and the span names once, on the
+     *  first iteration that runs while recording. */
+    void internTraceNames();
     double noisy(double value);
 
     const DistSimConfig& cfg_;
@@ -114,6 +119,9 @@ class Simulation
     std::vector<Tick> ready_, finish_;
     /** Committed per-node ticks over the measurement window. */
     std::vector<Tick> node_accum_;
+    /** Recorder channel per node, then the iteration's (empty until
+     *  internTraceNames()). */
+    std::vector<uint32_t> span_channels_;
 
     Tick measure_start_ = 0;
     Tick measure_end_ = 0;
@@ -337,17 +345,19 @@ Simulation::iterate(std::size_t w)
         end = std::max(end, finish);
     }
 
-    if (obs::Tracer::enabled()) {
-        auto& tracer = obs::Tracer::global();
-        const auto& nodes = analytical_.stepGraph().nodes;
+    if (obs::FlightRecorder::enabled()) {
+        if (span_channels_.empty())
+            internTraceNames();
+        auto& recorder = obs::FlightRecorder::global();
         for (std::size_t i = 0; i < n_nodes; ++i) {
             if (finish_[i] > ready_[i]) {
-                tracer.addSimSpan(worker.track, nodes[i].id, ready_[i],
-                                  finish_[i]);
+                recorder.recordSimSpan(worker.track_id, span_channels_[i],
+                                       ready_[i], finish_[i]);
             }
         }
         if (end > start)
-            tracer.addSimSpan(worker.track, "iteration", start, end);
+            recorder.recordSimSpan(worker.track_id,
+                                   span_channels_[n_nodes], start, end);
     }
     if (end >= measure_start_ && end <= measure_end_) {
         ++iterations_done_;
@@ -357,6 +367,17 @@ Simulation::iterate(std::size_t w)
     }
     if (end < measure_end_)
         eq_.schedule(end, [this, w] { iterate(w); });
+}
+
+void
+Simulation::internTraceNames()
+{
+    auto& recorder = obs::FlightRecorder::global();
+    for (Worker& worker : workers_)
+        worker.track_id = recorder.internSimTrack(worker.track);
+    for (const auto& node : analytical_.stepGraph().nodes)
+        span_channels_.push_back(recorder.internChannel(node.id));
+    span_channels_.push_back(recorder.internChannel("iteration"));
 }
 
 } // namespace

@@ -23,6 +23,8 @@ AsyncWorkers::AsyncWorkers(const model::DlrmConfig& model_config,
       shared_(model_config, base.model_seed)
 {
     RECSIM_ASSERT(num_workers >= 1, "need at least one worker");
+    RECSIM_ASSERT(batch_size_ > 0, "TrainConfig::batch_size must be "
+                  "positive, got 0");
     RECSIM_ASSERT(dataset.materializedSize() > eval_examples,
                   "materialize() the dataset before training");
     shard_ = (dataset.materializedSize() - eval_examples) / num_workers;
@@ -37,11 +39,16 @@ AsyncWorkers::run(const Hooks& hooks,
                   const std::function<void()>& background)
 {
     std::vector<double> tail_losses(size(), 0.0);
+    // Interned before any worker starts: the three trainers share this
+    // one span site, so a per-site cache would mix their names.
+    const uint32_t iteration_channel =
+        obs::FlightRecorder::global().internChannel(hooks.iteration_span);
+    const auto rows = static_cast<uint32_t>(batch_size_);
     auto work = [&](std::size_t w) {
         std::vector<double> losses;
         losses.reserve(steps_per_worker_);
         for (std::size_t step = 0; step < steps_per_worker_; ++step) {
-            RECSIM_TRACE_SPAN(hooks.iteration_span);
+            const obs::TraceSpan iteration(iteration_channel, step, rows);
             const data::MiniBatch batch = dataset_.epochBatch(
                 w * shard_ +
                     (step * batch_size_) % std::max<std::size_t>(shard_, 1),

@@ -11,7 +11,7 @@
  * Every step runs through one GraphExecutor::serial() over the model's
  * StepGraph, shared by all workers: each node runs on the worker's own
  * thread with its inner kernels on the global pool, and its obs span
- * and recorder sample land on the worker's track.
+ * lands on the worker's track.
  */
 #pragma once
 
@@ -35,7 +35,8 @@ class AsyncWorkers
     /** A trainer's part of an iteration, run on worker w's thread. */
     struct Hooks
     {
-        /** Span around each iteration, e.g. "hogwild.iteration". */
+        /** Span around each iteration, e.g. "hogwild.iteration",
+         *  tagged with the worker's step and the batch rows. */
         const char* iteration_span = nullptr;
         /** Before the step: bring replica w up to date for the batch. */
         std::function<void(std::size_t w, const data::MiniBatch& batch)>

@@ -17,6 +17,8 @@ trainEasgd(const model::DlrmConfig& model_config,
 {
     RECSIM_ASSERT(config.elasticity > 0.0f && config.elasticity <= 1.0f,
                   "elasticity must be in (0, 1]");
+    RECSIM_ASSERT(config.sync_period > 0,
+                  "EasgdConfig::sync_period must be positive, got 0");
     // The shared model is the center: its dense params act as the
     // dense PS, its embedding tables as the shared sparse PS (workers
     // update them in place, Hogwild-style across trainers, as

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -20,50 +19,6 @@ executableNode(const graph::Node& node)
         node.kind == graph::NodeKind::EmbeddingLookup ||
         node.kind == graph::NodeKind::Interaction;
 }
-
-/**
- * RAII flight-recorder sample around one node dispatch: when the
- * recorder is enabled, times the enclosed work and records it on the
- * node's channel (one sample per visit — the forward and backward
- * halves record separately under the same id). Inactive construction
- * costs one relaxed atomic load, honoring the recorder's
- * disabled-path contract.
- */
-class NodeSample
-{
-  public:
-    /** @p channel is interned (the executor's cached ids). */
-    NodeSample(uint32_t channel, uint64_t step, uint32_t rows)
-    {
-        if (!obs::recorderEnabled())
-            return;
-        recorder_ = &obs::FlightRecorder::global();
-        channel_ = channel;
-        step_ = step;
-        rows_ = rows;
-        start_ns_ = recorder_->nowNs();
-    }
-
-    ~NodeSample()
-    {
-        if (recorder_ != nullptr)
-            recorder_->record(
-                channel_, step_,
-                static_cast<double>(recorder_->nowNs() - start_ns_) *
-                    1e-9,
-                rows_);
-    }
-
-    NodeSample(const NodeSample&) = delete;
-    NodeSample& operator=(const NodeSample&) = delete;
-
-  private:
-    obs::FlightRecorder* recorder_ = nullptr;
-    uint32_t channel_ = 0;
-    uint32_t rows_ = 0;
-    uint64_t step_ = 0;
-    uint64_t start_ns_ = 0;
-};
 
 } // namespace
 
@@ -198,12 +153,10 @@ GraphExecutor::dispatch(std::size_t node_index, model::Dlrm& model,
 {
     const graph::Node& node = graph_->nodes[node_index];
     // The span opens on the executing thread, so concurrent nodes land
-    // on their worker's track under the same node-id names the cost
-    // model and the DES report. The recorder sample
-    // lands on the worker's stripe under the same id.
-    NodeSample sample(node_channels_[node_index], step,
-                      static_cast<uint32_t>(batch.batchSize()));
-    obs::TraceSpan span(node.id.c_str());
+    // on their worker's track under the same node-id channels the cost
+    // model and the DES report.
+    obs::TraceSpan span(node_channels_[node_index], step,
+                        static_cast<uint32_t>(batch.batchSize()));
     switch (node.kind) {
       case graph::NodeKind::Gemm:
         if (node.role == graph::GemmRole::Projection) {
@@ -301,25 +254,28 @@ GraphExecutor::runForward(model::Dlrm& model,
     RECSIM_ASSERT(graph_->emb_dim == model.config().emb_dim &&
                   graph_->num_dense == model.config().num_dense,
                   "StepGraph was built for a different model config");
-    const uint64_t step = obs::recorderEnabled()
-        ? steps_issued_.fetch_add(1, std::memory_order_relaxed)
-        : 0;
+    const uint64_t step = nextStep();
     RECSIM_TRACE_SPAN("model.fwd");
     for (const auto& wave : fwd_waves_)
         runWave(wave, model, batch, /*forward=*/true, step, nullptr);
 }
 
+uint64_t
+GraphExecutor::nextStep() const
+{
+    return obs::recorderEnabled()
+        ? steps_issued_.fetch_add(1, std::memory_order_relaxed)
+        : 0;
+}
+
 double
 GraphExecutor::runWaves(model::Dlrm& model, const data::MiniBatch& batch,
-                        const Optimizer* opt) const
+                        uint64_t step, const Optimizer* opt) const
 {
     RECSIM_ASSERT(graph_->emb_dim == model.config().emb_dim &&
                   graph_->num_dense == model.config().num_dense,
                   "StepGraph was built for a different model config");
 
-    const uint64_t step = obs::recorderEnabled()
-        ? steps_issued_.fetch_add(1, std::memory_order_relaxed)
-        : 0;
     double loss = 0.0;
     {
         RECSIM_TRACE_SPAN("model.fwd");
@@ -327,7 +283,11 @@ GraphExecutor::runWaves(model::Dlrm& model, const data::MiniBatch& batch,
             runWave(wave, model, batch, /*forward=*/true, step, nullptr);
     }
     {
-        obs::TraceSpan span("loss");
+        // The graph's Loss node, so its span carries the step like
+        // the dispatched nodes' spans do.
+        static constinit obs::SpanSite loss_site("loss");
+        obs::TraceSpan span(loss_site, step,
+                            static_cast<uint32_t>(batch.batchSize()));
         loss = model.lossBackward(batch);
     }
     // The loss is known here, before any table changes.
@@ -343,7 +303,7 @@ double
 GraphExecutor::runStep(model::Dlrm& model,
                        const data::MiniBatch& batch) const
 {
-    return runWaves(model, batch, nullptr);
+    return runWaves(model, batch, nextStep(), nullptr);
 }
 
 double
@@ -351,15 +311,18 @@ GraphExecutor::runTrainStep(model::Dlrm& model,
                             const data::MiniBatch& batch,
                             const Optimizer& opt) const
 {
+    const uint64_t step = nextStep();
     double loss = 0.0;
     {
         RECSIM_TRACE_SPAN("train.fwd_bwd");
-        loss = runWaves(model, batch, &opt);
+        loss = runWaves(model, batch, step, &opt);
     }
     RECSIM_TRACE_SPAN("train.optimizer");
     // The graph's OptimizerUpdate node, dense half only: the backward
     // wave already updated every table.
-    RECSIM_TRACE_SPAN("optimizer");
+    static constinit obs::SpanSite optimizer_site("optimizer");
+    obs::TraceSpan span(optimizer_site, step,
+                        static_cast<uint32_t>(batch.batchSize()));
     opt.stepDense(model);
     model.zeroGrad();
     return loss;

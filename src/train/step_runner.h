@@ -3,8 +3,8 @@
  * Graph-walk execution of one training step: the real trainer's side of
  * the "one iteration, one source of truth" contract. GraphExecutor
  * walks the model's StepGraph (graph/step_graph.h), dispatching each
- * node to the matching Dlrm stepwise primitive and tagging an obs trace
- * span with the node's id — the same ids the analytical nodeBreakdown()
+ * node to the matching Dlrm stepwise primitive and recording an obs
+ * span under the node's id — the same ids the analytical nodeBreakdown()
  * and the DES's node_seconds report under, so measured, predicted and
  * simulated per-node times line up (bench/validation_graph_breakdown).
  */
@@ -70,15 +70,16 @@ namespace train {
  *
  * Obs spans: "model.fwd", "loss" and "model.bwd" open on the calling
  * thread under either schedule; per-node spans open on whichever
- * worker runs the node, landing on that thread's track (the Tracer is
- * thread-safe for concurrent begin/end).
+ * worker runs the node, landing on that thread's track.
  *
- * Flight recorder: when obs::recorderEnabled(), every dispatched node
- * records one sample per visit on a channel named by the node id
- * (interned once at construction), tagged with the executor's step
- * counter and the batch row count — the measured side the
- * obs::DriftMonitor folds against cost::IterationModel predictions.
- * Disabled cost is one relaxed atomic load per node.
+ * Flight recorder: while obs::FlightRecorder is enabled, every
+ * dispatched node records one span per visit on a channel named by
+ * the node id (interned once at construction), tagged with the
+ * executor's step counter and the batch row count; so do the "loss"
+ * and "optimizer" nodes. These spans are the measured side the
+ * obs::DriftMonitor folds against cost::IterationModel predictions,
+ * and a Chrome trace shows them (obs/trace.h). Disabled cost is one
+ * relaxed atomic load per node.
  *
  * Sharing: the step methods are const, so several threads may run
  * steps of different models through one executor at once. They share
@@ -132,9 +133,9 @@ class GraphExecutor
      * updates only look theirs up; each embedding backend instance
      * still runs on one thread at a time.
      *
-     * Obs: the same spans as runStep(), each "emb.t*" node span and
-     * recorder sample now including that table's update, followed by
-     * "train.optimizer" > "optimizer" around the dense update.
+     * Obs: "train.fwd_bwd" around the same spans as runStep(), each
+     * "emb.t*" node span now including that table's update, followed
+     * by "train.optimizer" > "optimizer" around the dense update.
      *
      * @return Mean BCE loss of the batch.
      */
@@ -174,10 +175,13 @@ class GraphExecutor
     GraphExecutor(const graph::StepGraph& graph, util::ThreadPool& pool,
                   bool serial);
 
+    /** The step id that tags this step's spans (0 while not
+     *  recording). */
+    uint64_t nextStep() const;
     /** Forward, loss and backward waves; with @p opt, each table's
      *  sparse update runs inside its backward node. */
     double runWaves(model::Dlrm& model, const data::MiniBatch& batch,
-                    const Optimizer* opt) const;
+                    uint64_t step, const Optimizer* opt) const;
     double runTrainStep(model::Dlrm& model,
                         const data::MiniBatch& batch,
                         const Optimizer& opt) const;

@@ -4,7 +4,6 @@
 
 #include "graph/step_graph.h"
 #include "nn/loss.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/pool_metrics.h"
 #include "obs/trace.h"
@@ -99,8 +98,10 @@ trainSingleThread(const model::DlrmConfig& model_config,
     // outside the loop; the loop body itself only pays the enabled()
     // load when recording is off.
     auto& recorder = obs::FlightRecorder::global();
-    const uint32_t step_channel = recorder.internChannel("train.step_s");
+    const uint32_t iteration_channel =
+        recorder.internChannel("train.iteration");
     const uint32_t loss_channel = recorder.internChannel("train.loss");
+    const auto rows = static_cast<uint32_t>(config.batch_size);
     const obs::PoolSnapshot pool_before = obs::snapshotThreadPool();
 
     TrainResult result;
@@ -112,8 +113,9 @@ trainSingleThread(const model::DlrmConfig& model_config,
     std::size_t step = 0;
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         for (std::size_t it = 0; it < steps_per_epoch; ++it, ++step) {
-            RECSIM_TRACE_SPAN("train.iteration");
-            const uint64_t iter_start = obs::Tracer::global().nowNs();
+            // The step series obs::DriftMonitor reads.
+            const obs::TraceSpan iteration(iteration_channel, step, rows);
+            const uint64_t iter_start = obs::steadyNowNs();
             double loss = 0.0;
             data::MiniBatch batch;
             {
@@ -129,14 +131,10 @@ trainSingleThread(const model::DlrmConfig& model_config,
             auto& metrics = obs::MetricsRegistry::global();
             metrics.incr("train.iterations");
             const double iter_s = static_cast<double>(
-                obs::Tracer::global().nowNs() - iter_start) * 1e-9;
+                obs::steadyNowNs() - iter_start) * 1e-9;
             metrics.observe("train.iteration_seconds", iter_s);
-            if (obs::recorderEnabled()) {
-                const uint32_t rows =
-                    static_cast<uint32_t>(batch.batchSize());
-                recorder.record(step_channel, step, iter_s, rows);
+            if (obs::recorderEnabled())
                 recorder.record(loss_channel, step, loss, rows);
-            }
             losses.push_back(loss);
             if (config.eval_every && step % config.eval_every == 0)
                 result.loss_curve.emplace_back(step, loss);

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the observability layer (recsim::obs): metrics registry
- * semantics, tracer span bookkeeping, Chrome-trace JSON export, and —
- * the point of the subsystem — trace-validated training loops: a traced
- * run must produce balanced spans, one iteration span per optimizer
- * step, forward strictly before backward, and one wall-clock track per
- * Hogwild worker.
+ * semantics, spans as flight-recorder samples, the Chrome-trace and
+ * summary views over a snapshot, and — the point of the subsystem —
+ * trace-validated training loops: a traced run must record one
+ * iteration span per optimizer step, forward strictly before backward,
+ * one span per node visit, and one wall-clock track per Hogwild
+ * worker.
  */
 #include <gtest/gtest.h>
 
@@ -18,11 +19,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "data/dataset.h"
+#include "graph/step_graph.h"
+#include "model/dlrm.h"
 #include "obs/drift.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
@@ -31,7 +36,10 @@
 #include "obs/trace.h"
 #include "stats/log_histogram.h"
 #include "train/hogwild.h"
+#include "train/step_runner.h"
 #include "train/trainer.h"
+#include "util/logging.h"
+#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace recsim::obs {
@@ -168,43 +176,72 @@ class JsonParser
     std::size_t pos_ = 0;
 };
 
-#ifndef RECSIM_OBS_DISABLED
-/** Spans with @p name across all wall-clock tracks, sorted by start. */
-std::vector<SpanRecord>
-spansNamed(const std::vector<TrackRecord>& tracks,
-           const std::string& name)
+model::DlrmConfig
+tinyModel()
 {
-    std::vector<SpanRecord> result;
-    for (const TrackRecord& track : tracks) {
-        if (track.simulated)
-            continue;
-        for (const SpanRecord& span : track.spans) {
-            if (span.name == name)
-                result.push_back(span);
-        }
+    return model::DlrmConfig::tinyReplica(4, 8, 500, 8);
+}
+
+data::DatasetConfig
+tinyData()
+{
+    const auto m = tinyModel();
+    data::DatasetConfig cfg;
+    cfg.num_dense = m.num_dense;
+    cfg.sparse = m.sparse;
+    cfg.seed = 99;
+    return cfg;
+}
+
+/** Where @p sample ends on its track's clock. */
+uint64_t
+endNs(const Sample& sample)
+{
+    return sample.t_ns + sample.dur_ns;
+}
+
+/** Wall-clock spans on channel @p name, in start order. */
+std::vector<Sample>
+spansNamed(const std::vector<Sample>& samples, const std::string& name)
+{
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t channel = rec.internChannel(name);
+    const std::vector<Track> tracks = rec.tracks();
+    std::vector<Sample> result;
+    for (const Sample& sample : samples) {
+        if (sample.span && sample.channel == channel &&
+            !tracks[sample.track].simulated)
+            result.push_back(sample);
     }
-    std::sort(result.begin(), result.end(),
-              [](const SpanRecord& a, const SpanRecord& b) {
-                  return a.start_ns < b.start_ns;
-              });
     return result;
 }
-#endif  // RECSIM_OBS_DISABLED
+
+/** Span samples among @p samples. */
+std::size_t
+countSpans(const std::vector<Sample>& samples)
+{
+    return static_cast<std::size_t>(
+        std::count_if(samples.begin(), samples.end(),
+                      [](const Sample& s) { return s.span; }));
+}
 
 class ObsTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        Tracer::global().reset();
+        FlightRecorder& rec = FlightRecorder::global();
+        rec.setEnabled(false);
+        rec.configure(1 << 16);
         MetricsRegistry::global().reset();
-        Tracer::global().setEnabled(true);
+        rec.setEnabled(true);
     }
 
     void TearDown() override
     {
-        Tracer::global().setEnabled(false);
-        Tracer::global().reset();
+        FlightRecorder& rec = FlightRecorder::global();
+        rec.setEnabled(false);
+        rec.reset();
         MetricsRegistry::global().reset();
     }
 };
@@ -241,131 +278,269 @@ TEST_F(ObsTest, MetricsCountersGaugesTimings)
 }
 
 // ---------------------------------------------------------------------
-// Tracer core semantics
+// Spans: one sample per closed span
 // ---------------------------------------------------------------------
 
 TEST_F(ObsTest, SpansBalanceAndNest)
 {
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t outer_ch = rec.internChannel("outer");
+    const uint32_t inner_ch = rec.internChannel("inner");
     {
-        TraceSpan outer("outer");
-        { TraceSpan inner("inner"); }
-        EXPECT_EQ(Tracer::global().numOpenSpans(), 1u);
+        TraceSpan outer(outer_ch, 3, 64);
+        { TraceSpan inner(inner_ch); }
+        // A span records when it closes, so only the inner one is in.
+        EXPECT_EQ(rec.size(), 1u);
     }
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-    EXPECT_EQ(Tracer::global().numSpans(), 2u);
 
-    const auto tracks = Tracer::global().snapshot();
-    ASSERT_EQ(tracks.size(), 1u);
-    const auto& spans = tracks[0].spans;
-    ASSERT_EQ(spans.size(), 2u);
-    // Inner closes first; depth recorded relative to the stack.
-    EXPECT_EQ(spans[0].name, "inner");
-    EXPECT_EQ(spans[0].depth, 1);
-    EXPECT_EQ(spans[1].name, "outer");
-    EXPECT_EQ(spans[1].depth, 0);
-    EXPECT_LE(spans[1].start_ns, spans[0].start_ns);
-    EXPECT_GE(spans[1].end_ns, spans[0].end_ns);
+    const auto samples = rec.snapshot();
+    ASSERT_EQ(samples.size(), 2u);
+    // Start order puts the enclosing span first; both sit on this
+    // thread's wall-clock track, and the outer one contains the inner.
+    const Sample& outer = samples[0];
+    const Sample& inner = samples[1];
+    EXPECT_EQ(outer.channel, outer_ch);
+    EXPECT_EQ(inner.channel, inner_ch);
+    EXPECT_TRUE(outer.span && inner.span);
+    EXPECT_EQ(outer.track, inner.track);
+    EXPECT_FALSE(rec.tracks()[outer.track].simulated);
+    EXPECT_LE(outer.t_ns, inner.t_ns);
+    EXPECT_GE(endNs(outer), endNs(inner));
+    EXPECT_EQ(outer.step, 3u);
+    EXPECT_EQ(outer.rows, 64u);
+    // A span's value is its duration in seconds.
+    EXPECT_DOUBLE_EQ(outer.value, static_cast<double>(outer.dur_ns) * 1e-9);
 }
 
 TEST_F(ObsTest, DisabledPathEmitsNothing)
 {
-    Tracer::global().setEnabled(false);
+    FlightRecorder& rec = FlightRecorder::global();
+    rec.setEnabled(false);
+    const uint32_t ch = rec.internChannel("ignored");
     {
-        TraceSpan span("ignored");
+        TraceSpan span(ch);
         RECSIM_TRACE_SPAN("also_ignored");
+        // Turning recording on does not arm a span opened while off.
+        rec.setEnabled(true);
     }
-    Tracer::global().addSimSpan("node", "busy", 10, 20);
-    EXPECT_EQ(Tracer::global().numSpans(), 0u);
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
+    rec.setEnabled(false);
+    rec.record(ch, 0, 1.0);
+    rec.recordSimSpan(rec.internSimTrack("node"), ch, 10, 20);
+    EXPECT_EQ(rec.totalRecorded(), 0u);
+    EXPECT_TRUE(rec.snapshot().empty());
 }
 
 TEST_F(ObsTest, ResetClearsEverything)
 {
-    { TraceSpan span("work"); }
-    Tracer::global().addSimSpan("node", "busy", 0, 5);
-    EXPECT_GT(Tracer::global().numSpans(), 0u);
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t work = rec.internChannel("work");
+    { TraceSpan span(work); }
+    rec.recordSimSpan(rec.internSimTrack("node"), rec.internChannel("busy"),
+                      0, 5);
+    rec.record(work, 0, 1.0);
+    EXPECT_EQ(rec.size(), 3u);
 
-    Tracer::global().reset();
-    EXPECT_EQ(Tracer::global().numSpans(), 0u);
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-    for (const auto& track : Tracer::global().snapshot())
-        EXPECT_TRUE(track.spans.empty());
+    {
+        // A span open across a reset belongs to neither epoch.
+        TraceSpan straddling(work);
+        rec.reset();
+    }
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.totalRecorded(), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    EXPECT_TRUE(rec.snapshot().empty());
 
-    // The tracer stays usable after reset (thread tracks survive).
-    { TraceSpan span("again"); }
-    EXPECT_EQ(Tracer::global().numSpans(), 1u);
+    // The recorder stays usable after reset, and this thread keeps its
+    // track.
+    const uint32_t track = [&] {
+        { TraceSpan span(work); }
+        return rec.snapshot().at(0).track;
+    }();
+    EXPECT_EQ(rec.size(), 1u);
+    { TraceSpan span(work); }
+    EXPECT_EQ(rec.snapshot().at(1).track, track);
 }
 
 TEST_F(ObsTest, SimSpansLandOnSimulatedTracks)
 {
-    Tracer::global().addSimSpan("trainer0.cpu", "busy", 1000, 3000);
-    Tracer::global().addSimSpan("trainer0.cpu", "busy", 3000, 4000);
-    Tracer::global().addSimSpan("ps0.nic", "busy", 500, 1500);
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t cpu = rec.internSimTrack("trainer0.cpu");
+    const uint32_t nic = rec.internSimTrack("ps0.nic");
+    const uint32_t busy = rec.internChannel("busy");
+    EXPECT_NE(cpu, nic);
+    EXPECT_EQ(rec.internSimTrack("trainer0.cpu"), cpu);
+    rec.recordSimSpan(cpu, busy, 1000, 3000);
+    rec.recordSimSpan(cpu, busy, 3000, 4000);
+    rec.recordSimSpan(nic, busy, 500, 1500);
+    { TraceSpan wall(busy); }
 
-    std::size_t sim_tracks = 0;
-    for (const auto& track : Tracer::global().snapshot()) {
-        if (!track.simulated)
+    const auto tracks = rec.tracks();
+    EXPECT_EQ(tracks[cpu].name, "trainer0.cpu");
+    EXPECT_EQ(tracks[nic].name, "ps0.nic");
+    std::vector<uint32_t> sim_tracks;
+    std::size_t wall = 0;
+    for (const Sample& sample : rec.snapshot()) {
+        ASSERT_TRUE(sample.span);
+        EXPECT_EQ(sample.channel, busy);
+        if (!tracks[sample.track].simulated) {
+            ++wall;
             continue;
-        ++sim_tracks;
-        for (const auto& span : track.spans) {
-            EXPECT_EQ(span.name, "busy");
-            EXPECT_LT(span.start_ns, span.end_ns);
         }
+        sim_tracks.push_back(sample.track);
+        EXPECT_LT(sample.t_ns, endNs(sample));
     }
-    EXPECT_EQ(sim_tracks, 2u);
-}
-
-TEST_F(ObsTest, ScopedTimerRecordsMetricAndSpan)
-{
-    {
-        ScopedTimer timer("phase.setup");
-    }
-    EXPECT_EQ(MetricsRegistry::global().timing("phase.setup").count(),
-              1u);
-    EXPECT_EQ(Tracer::global().numSpans(), 1u);
-
-    // With tracing disabled the metric still records; the span does not.
-    Tracer::global().setEnabled(false);
-    {
-        ScopedTimer timer("phase.setup");
-    }
-    EXPECT_EQ(MetricsRegistry::global().timing("phase.setup").count(),
-              2u);
-    EXPECT_EQ(Tracer::global().numSpans(), 1u);
+    EXPECT_EQ(wall, 1u);
+    // Sim-clock timestamps are kept as given: the earliest span is the
+    // NIC's [500, 1500].
+    EXPECT_EQ(sim_tracks, (std::vector<uint32_t>{nic, cpu, cpu}));
 }
 
 // ---------------------------------------------------------------------
-// Chrome trace export
+// Views: the Chrome trace and the summary
 // ---------------------------------------------------------------------
 
 TEST_F(ObsTest, ChromeTraceJsonParsesAndCarriesBothTimelines)
 {
+    FlightRecorder& rec = FlightRecorder::global();
     {
-        TraceSpan span("wall \"work\"\n");  // exercises escaping
+        // Exercises escaping.
+        TraceSpan span(rec.internChannel("wall \"work\"\n"));
     }
-    Tracer::global().addSimSpan("trainer0.cpu", "busy", 1000, 2000);
+    rec.recordSimSpan(rec.internSimTrack("trainer0.cpu"),
+                      rec.internChannel("busy"), 1000, 2000);
+    // A value is not a span, so the trace leaves it out.
+    rec.record(rec.internChannel("test.value_only"), 0, 1.0);
 
-    const std::string json = Tracer::global().chromeTraceJson();
+    const std::string json = chromeTraceJson(rec, rec.snapshot());
     EXPECT_TRUE(JsonParser(json).parse()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("recsim wall clock"), std::string::npos);
     EXPECT_NE(json.find("recsim simulated time"), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"X\",\"pid\":1"), std::string::npos);
+    EXPECT_NE(json.find("{\"name\":\"busy\",\"ph\":\"X\",\"pid\":2"),
+              std::string::npos);
+    // Sim-clock nanoseconds print as microseconds.
+    EXPECT_NE(json.find("\"ts\":1.000,\"dur\":1.000"), std::string::npos);
+    EXPECT_EQ(json.find("test.value_only"), std::string::npos);
+    EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
     // The raw newline and quote must have been escaped.
     EXPECT_NE(json.find("wall \\\"work\\\"\\n"), std::string::npos);
 }
 
 TEST_F(ObsTest, SummaryAttributesTime)
 {
+    FlightRecorder& rec = FlightRecorder::global();
     {
-        TraceSpan span("top");
-        TraceSpan inner("inner");
+        TraceSpan top(rec.internChannel("top"));
+        TraceSpan inner(rec.internChannel("inner"));
     }
-    Tracer::global().addSimSpan("node0", "busy", 0, 1000000);
-    const std::string summary = Tracer::global().summary();
+    rec.recordSimSpan(rec.internSimTrack("node0"),
+                      rec.internChannel("busy"), 0, 1000000);
+    const std::string summary = obs::summary(rec, rec.snapshot());
+    // Per-name totals, wall and simulated apart: one busy span of one
+    // sim-millisecond.
     EXPECT_NE(summary.find("top"), std::string::npos);
-    EXPECT_NE(summary.find("busy"), std::string::npos);
-    EXPECT_NE(summary.find("attributed"), std::string::npos);
+    EXPECT_NE(summary.find("inner"), std::string::npos);
+    EXPECT_NE(summary.find("1.000 sim-ms"), std::string::npos);
+    // Per-track attribution: the top-level span covers its track's
+    // whole interval, the nested one adds nothing.
+    EXPECT_NE(summary.find("100.0% attributed"), std::string::npos);
+    EXPECT_NE(summary.find("recorder: 3 samples, 0 dropped"),
+              std::string::npos);
+}
+
+TEST_F(ObsTest, SmallRecorderReportsDroppedInBothViews)
+{
+    // A recorder too small for a traced training run keeps the newest
+    // samples and says how many it lost.
+    FlightRecorder& rec = FlightRecorder::global();
+    rec.configure(8 * rec.numStripes());
+    rec.setEnabled(true);
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(8 * 64 + 256);
+    train::TrainConfig cfg;
+    cfg.batch_size = 64;
+    cfg.epochs = 1;
+    train::trainSingleThread(tinyModel(), ds, cfg, 256);
+    rec.setEnabled(false);
+
+    const uint64_t dropped = rec.dropped();
+    ASSERT_GT(dropped, 0u);
+    const auto samples = rec.snapshot();
+    EXPECT_EQ(dropped, rec.totalRecorded() - samples.size());
+    EXPECT_NE(obs::summary(rec, samples)
+                  .find(std::to_string(dropped) + " dropped"),
+              std::string::npos);
+    const std::string json = chromeTraceJson(rec, samples);
+    EXPECT_TRUE(JsonParser(json).parse());
+    EXPECT_NE(json.find("\"dropped\":" + std::to_string(dropped)),
+              std::string::npos);
+}
+
+TEST_F(ObsTest, SerialStepRecordsOneSpanPerNodeVisit)
+{
+    const auto cfg = tinyModel();
+    const graph::StepGraph graph = graph::buildModelStepGraph(cfg);
+    const auto executor = train::GraphExecutor::serial(graph);
+    model::Dlrm model(cfg, 1);
+    data::SyntheticCtrDataset ds(tinyData());
+    const data::MiniBatch batch = ds.nextBatch(32);
+
+    FlightRecorder& rec = FlightRecorder::global();
+    executor.runStep(model, batch);
+    rec.setEnabled(false);
+    const auto samples = rec.snapshot();
+    const auto names = rec.channels();
+
+    // Each executable node records its forward and its backward visit,
+    // and nothing records a nested nn.* span.
+    std::map<std::string, std::vector<Sample>> by_name;
+    for (const Sample& sample : samples) {
+        EXPECT_TRUE(sample.span);
+        by_name[names[sample.channel]].push_back(sample);
+    }
+    std::multiset<std::string> expected_events;
+    std::set<std::string> executable;
+    for (const graph::Node& node : graph.nodes) {
+        if (node.kind != graph::NodeKind::Gemm &&
+            node.kind != graph::NodeKind::EmbeddingLookup &&
+            node.kind != graph::NodeKind::Interaction)
+            continue;
+        executable.insert(node.id);
+        const auto& visits = by_name[node.id];
+        ASSERT_EQ(visits.size(), 2u) << node.id;
+        for (const Sample& visit : visits) {
+            EXPECT_EQ(visit.rows, 32u) << node.id;
+            expected_events.insert(util::format(
+                "{} {} {}", node.id,
+                util::fixed(static_cast<double>(visit.t_ns) / 1000.0, 3),
+                util::fixed(static_cast<double>(visit.dur_ns) / 1000.0,
+                            3)));
+        }
+    }
+    EXPECT_FALSE(executable.empty());
+    for (const auto& [name, list] : by_name)
+        EXPECT_NE(name.rfind("nn.", 0), 0u) << name;
+
+    // The Chrome trace of the same snapshot holds exactly those node
+    // spans, with the same starts and durations.
+    const std::string json = chromeTraceJson(rec, samples);
+    std::multiset<std::string> node_events;
+    std::size_t pos = 0;
+    while ((pos = json.find("{\"name\":\"", pos)) != std::string::npos) {
+        pos += 9;
+        const std::string name = json.substr(pos, json.find('"', pos) - pos);
+        const std::size_t line_end = json.find('\n', pos);
+        const std::string line = json.substr(pos, line_end - pos);
+        const std::size_t ts = line.find("\"ts\":");
+        const std::size_t dur = line.find(",\"dur\":");
+        if (ts == std::string::npos || !executable.count(name))
+            continue;
+        node_events.insert(util::format(
+            "{} {} {}", name, line.substr(ts + 5, dur - ts - 5),
+            line.substr(dur + 7, line.find('}', dur) - dur - 7)));
+    }
+    EXPECT_EQ(node_events, expected_events);
 }
 
 // ---------------------------------------------------------------------
@@ -373,23 +548,6 @@ TEST_F(ObsTest, SummaryAttributesTime)
 // ---------------------------------------------------------------------
 
 #ifndef RECSIM_OBS_DISABLED
-model::DlrmConfig
-tinyModel()
-{
-    return model::DlrmConfig::tinyReplica(4, 8, 500, 8);
-}
-
-data::DatasetConfig
-tinyData()
-{
-    const auto m = tinyModel();
-    data::DatasetConfig cfg;
-    cfg.num_dense = m.num_dense;
-    cfg.sparse = m.sparse;
-    cfg.seed = 99;
-    return cfg;
-}
-
 // The two loop-tracing tests assert on spans emitted through the
 // RECSIM_TRACE_SPAN macro, which compiles to nothing in obs-disabled
 // builds — there is deliberately nothing to observe there.
@@ -406,12 +564,17 @@ TEST_F(ObsTest, SingleThreadTrainingLoopIsFullyTraced)
     cfg.epochs = 1;
     train::trainSingleThread(tinyModel(), ds, cfg, kEval);
 
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-    const auto tracks = Tracer::global().snapshot();
+    const auto samples = FlightRecorder::global().snapshot();
+    EXPECT_EQ(FlightRecorder::global().dropped(), 0u);
 
-    // Exactly one iteration span per optimizer step.
-    const auto iterations = spansNamed(tracks, "train.iteration");
+    // Exactly one iteration span per optimizer step, tagged with its
+    // step and rows.
+    const auto iterations = spansNamed(samples, "train.iteration");
     ASSERT_EQ(iterations.size(), kSteps);
+    for (std::size_t i = 0; i < kSteps; ++i) {
+        EXPECT_EQ(iterations[i].step, i);
+        EXPECT_EQ(iterations[i].rows, kBatch);
+    }
     EXPECT_EQ(MetricsRegistry::global().counter("train.iterations"),
               static_cast<uint64_t>(kSteps));
     EXPECT_EQ(
@@ -421,30 +584,30 @@ TEST_F(ObsTest, SingleThreadTrainingLoopIsFullyTraced)
 
     // Every iteration carries data / fwd_bwd / optimizer phases, and
     // within the model, forward strictly precedes backward.
-    const auto data_spans = spansNamed(tracks, "train.data");
-    const auto fwd_bwd = spansNamed(tracks, "train.fwd_bwd");
-    const auto opt = spansNamed(tracks, "train.optimizer");
+    const auto data_spans = spansNamed(samples, "train.data");
+    const auto fwd_bwd = spansNamed(samples, "train.fwd_bwd");
+    const auto opt = spansNamed(samples, "train.optimizer");
     EXPECT_EQ(data_spans.size(), kSteps);
     EXPECT_EQ(fwd_bwd.size(), kSteps);
     EXPECT_EQ(opt.size(), kSteps);
 
-    const auto fwd = spansNamed(tracks, "model.fwd");
-    const auto bwd = spansNamed(tracks, "model.bwd");
+    const auto fwd = spansNamed(samples, "model.fwd");
+    const auto bwd = spansNamed(samples, "model.bwd");
     // Forward also runs during evaluation, so fwd >= bwd == steps.
     ASSERT_EQ(bwd.size(), kSteps);
     ASSERT_GE(fwd.size(), kSteps);
     for (std::size_t i = 0; i < kSteps; ++i) {
         // The i-th training forward ends before the i-th backward
         // begins, and both nest inside the i-th iteration span.
-        EXPECT_LE(fwd[i].end_ns, bwd[i].start_ns);
-        EXPECT_GE(fwd[i].start_ns, iterations[i].start_ns);
-        EXPECT_LE(bwd[i].end_ns, iterations[i].end_ns);
+        EXPECT_LE(endNs(fwd[i]), bwd[i].t_ns);
+        EXPECT_GE(fwd[i].t_ns, iterations[i].t_ns);
+        EXPECT_LE(endNs(bwd[i]), endNs(iterations[i]));
     }
 
     // Phases tile the iteration: data before fwd_bwd before optimizer.
     for (std::size_t i = 0; i < kSteps; ++i) {
-        EXPECT_LE(data_spans[i].end_ns, fwd_bwd[i].start_ns);
-        EXPECT_LE(fwd_bwd[i].end_ns, opt[i].start_ns);
+        EXPECT_LE(endNs(data_spans[i]), fwd_bwd[i].t_ns);
+        EXPECT_LE(endNs(fwd_bwd[i]), opt[i].t_ns);
     }
 }
 
@@ -459,29 +622,30 @@ TEST_F(ObsTest, HogwildWorkersGetTheirOwnTracks)
     cfg.base.epochs = 1;
     train::trainHogwild(tinyModel(), ds, cfg, 1024);
 
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-
     // Each worker thread records its iterations on a distinct track,
     // together with its own node spans: the serial executor runs every
     // node on the calling worker, so bottom_mlp.l0 shows up twice per
     // iteration (forward and backward) on that worker's track.
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t iteration = rec.internChannel("hogwild.iteration");
+    const uint32_t l0 = rec.internChannel("bottom_mlp.l0");
+    const auto samples = rec.snapshot();
+    EXPECT_EQ(rec.dropped(), 0u);
+    std::map<uint32_t, std::pair<std::size_t, std::size_t>> per_track;
+    for (const Sample& sample : samples) {
+        if (sample.channel == iteration)
+            ++per_track[sample.track].first;
+        else if (sample.channel == l0)
+            ++per_track[sample.track].second;
+    }
     std::size_t worker_tracks = 0;
     std::size_t total_iterations = 0;
-    for (const auto& track : Tracer::global().snapshot()) {
-        if (track.simulated)
-            continue;
-        std::size_t iters = 0;
-        std::size_t l0_visits = 0;
-        for (const auto& span : track.spans) {
-            if (span.name == "hogwild.iteration")
-                ++iters;
-            else if (span.name == "bottom_mlp.l0")
-                ++l0_visits;
-        }
+    for (const auto& [track, counts] : per_track) {
+        const auto [iters, l0_visits] = counts;
         if (iters > 0) {
             ++worker_tracks;
             total_iterations += iters;
-            EXPECT_EQ(l0_visits, 2 * iters) << "track " << track.name;
+            EXPECT_EQ(l0_visits, 2 * iters) << "track " << track;
         }
     }
     EXPECT_EQ(worker_tracks, kThreads);
@@ -490,8 +654,7 @@ TEST_F(ObsTest, HogwildWorkersGetTheirOwnTracks)
         static_cast<uint64_t>(total_iterations));
 
     // The export of a genuinely multi-threaded trace still parses.
-    const std::string json = Tracer::global().chromeTraceJson();
-    EXPECT_TRUE(JsonParser(json).parse());
+    EXPECT_TRUE(JsonParser(chromeTraceJson(rec, samples)).parse());
 }
 
 #endif  // RECSIM_OBS_DISABLED
@@ -500,60 +663,74 @@ TEST_F(ObsTest, ConcurrentSpansFromManyThreadsStayBalanced)
 {
     constexpr int kThreads = 8;
     constexpr int kSpansPerThread = 200;
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t outer = rec.internChannel("outer");
+    const uint32_t inner = rec.internChannel("inner");
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([] {
+        threads.emplace_back([outer, inner] {
             for (int i = 0; i < kSpansPerThread; ++i) {
-                TraceSpan outer("outer");
-                TraceSpan inner("inner");
+                TraceSpan o(outer);
+                TraceSpan n(inner);
             }
         });
     }
     for (auto& thread : threads)
         thread.join();
 
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-    EXPECT_EQ(Tracer::global().numSpans(),
+    const auto samples = rec.snapshot();
+    EXPECT_EQ(rec.totalRecorded(),
+              static_cast<uint64_t>(kThreads) * kSpansPerThread * 2);
+    EXPECT_EQ(countSpans(samples),
               static_cast<std::size_t>(kThreads) * kSpansPerThread * 2);
-    EXPECT_TRUE(JsonParser(Tracer::global().chromeTraceJson()).parse());
+    // One track per thread, each with all of its thread's spans.
+    std::map<uint32_t, std::size_t> per_track;
+    for (const Sample& sample : samples)
+        ++per_track[sample.track];
+    EXPECT_EQ(per_track.size(), static_cast<std::size_t>(kThreads));
+    for (const auto& [track, n] : per_track)
+        EXPECT_EQ(n, static_cast<std::size_t>(kSpansPerThread) * 2);
+    EXPECT_TRUE(JsonParser(chromeTraceJson(rec, samples)).parse());
 }
 
 TEST_F(ObsTest, ReadersRacingWritersSeeConsistentState)
 {
-    // The executor's worker threads emit spans while other code (the
-    // trainer's metrics, a trace dump) reads the tracer concurrently.
+    // The executor's worker threads record spans while other code (the
+    // drift monitor, a trace dump) reads the recorder concurrently.
     // Run writers and readers together — under TSan this is the data-
     // race proof for the span path; everywhere else it checks the
-    // reader always sees complete (begin+end) spans.
+    // reader only ever sees complete spans.
     constexpr int kWriters = 4;
     constexpr int kSpansPerWriter = 300;
+    FlightRecorder& rec = FlightRecorder::global();
+    const uint32_t outer = rec.internChannel("outer");
+    const uint32_t inner = rec.internChannel("inner");
     std::vector<std::thread> threads;
     for (int t = 0; t < kWriters; ++t) {
-        threads.emplace_back([] {
+        threads.emplace_back([outer, inner] {
             for (int i = 0; i < kSpansPerWriter; ++i) {
-                TraceSpan outer("outer");
-                TraceSpan inner("inner");
+                TraceSpan o(outer);
+                TraceSpan n(inner);
             }
         });
     }
-    threads.emplace_back([] {
+    threads.emplace_back([&rec] {
         for (int i = 0; i < 50; ++i) {
-            const auto tracks = Tracer::global().snapshot();
-            for (const auto& track : tracks) {
-                for (const auto& span : track.spans) {
-                    // A recorded span is always finished.
-                    EXPECT_LE(span.start_ns, span.end_ns);
-                }
+            for (const Sample& sample : rec.snapshot()) {
+                // A recorded span is always finished.
+                EXPECT_TRUE(sample.span);
+                EXPECT_DOUBLE_EQ(sample.value,
+                                 static_cast<double>(sample.dur_ns) *
+                                     1e-9);
             }
-            (void)Tracer::global().numSpans();
-            (void)Tracer::global().numOpenSpans();
+            (void)rec.size();
+            (void)rec.tracks();
         }
     });
     for (auto& thread : threads)
         thread.join();
 
-    EXPECT_EQ(Tracer::global().numOpenSpans(), 0u);
-    EXPECT_EQ(Tracer::global().numSpans(),
+    EXPECT_EQ(countSpans(rec.snapshot()),
               static_cast<std::size_t>(kWriters) * kSpansPerWriter * 2);
 }
 
@@ -773,18 +950,21 @@ TEST(DriftMonitorTest, StragglerStepsFlagAgainstRollingMedian)
     EXPECT_NEAR(report.stragglers[0].ratio, 5.0, 1e-9);
 }
 
-TEST_F(FlightRecorderTest, DriftIngestSumsNodeSamplesPerStep)
+TEST_F(FlightRecorderTest, DriftIngestSumsNodeSpansPerStep)
 {
     auto& rec = FlightRecorder::global();
     rec.setEnabled(true);
     const uint32_t node = rec.internChannel("test_node.l0");
-    const uint32_t step_ch = rec.internChannel("train.step_s");
+    const uint32_t step_ch = rec.internChannel("train.iteration");
     const uint32_t other = rec.internChannel("test.unrelated");
+    const uint32_t sim_track = rec.internSimTrack("test.sim_worker");
     for (uint64_t step = 0; step < 5; ++step) {
         rec.record(node, step, 0.4e-3);  // forward visit
         rec.record(node, step, 0.6e-3);  // backward visit
         rec.record(step_ch, step, 2e-3);
         rec.record(other, step, 42.0);
+        // A simulated span on the node's channel is not a measurement.
+        rec.recordSimSpan(sim_track, node, 0, 50000000);
     }
     rec.setEnabled(false);
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "cost/iteration_model.h"
 #include "graph/step_graph.h"
 #include "model/config.h"
+#include "obs/drift.h"
+#include "obs/flight_recorder.h"
 #include "sim/dist_sim.h"
 
 namespace recsim::sim {
@@ -330,6 +333,44 @@ TEST(DistSim, OneWorkerRunsEveryNodeAtItsPriceWithinTheGraphBounds)
         EXPECT_LE(result.mean_iteration_seconds,
                   est.serial_sum_seconds + latencies + ticks);
     }
+}
+
+// The DES records its node spans on simulated tracks under the node
+// ids the measured spans use, so the drift monitor must skip them: a
+// recorded simulation measures nothing.
+TEST(DistSim, RecordedSpansAreSimulatedAndNeverMeasured)
+{
+    DistSimConfig cfg = cpuConfig();
+    cfg.measure_seconds = 0.05;
+    obs::FlightRecorder& rec = obs::FlightRecorder::global();
+    rec.configure(1 << 16);
+    rec.setEnabled(true);
+    runDistSim(cfg);
+    rec.setEnabled(false);
+    const auto samples = rec.snapshot();
+    rec.reset();
+
+    std::map<std::string, double> predicted;
+    for (const auto& node :
+         cost::IterationModel(cfg.model, cfg.system).nodeBreakdown())
+        predicted[node.node_id] = node.seconds;
+    const auto tracks = rec.tracks();
+    const auto names = rec.channels();
+    std::size_t node_spans = 0;
+    for (const obs::Sample& sample : samples) {
+        EXPECT_TRUE(sample.span);
+        EXPECT_TRUE(tracks[sample.track].simulated);
+        node_spans += predicted.count(names[sample.channel]);
+    }
+    ASSERT_GT(node_spans, 0u);
+
+    obs::DriftMonitor monitor(predicted);
+    monitor.ingest(rec, samples);
+    const obs::DriftReport report = monitor.report();
+    EXPECT_EQ(report.steps_observed, 0u);
+    ASSERT_FALSE(report.nodes.empty());
+    for (const obs::NodeDrift& node : report.nodes)
+        EXPECT_EQ(node.samples, 0u) << node.node_id;
 }
 
 TEST(DistSim, RemotePlacementSlowerThanGpuMemory)

@@ -206,6 +206,45 @@ TEST(AsyncTrainers, OneWorkerResultsBitIdenticalAtPool1And8)
     }
 }
 
+// A zero batch size or sync period would divide by zero inside the
+// worker loop; the trainers reject both up front, naming the field.
+TEST(AsyncTrainersDeath, HogwildRejectsZeroBatchSize)
+{
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(1024);
+    HogwildConfig cfg;
+    cfg.base.batch_size = 0;
+    EXPECT_DEATH(trainHogwild(tinyModel(), ds, cfg, 256), "batch_size");
+}
+
+TEST(AsyncTrainersDeath, EasgdRejectsZeroBatchSize)
+{
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(1024);
+    EasgdConfig cfg;
+    cfg.base.batch_size = 0;
+    EXPECT_DEATH(trainEasgd(tinyModel(), ds, cfg, 256), "batch_size");
+}
+
+TEST(AsyncTrainersDeath, ShadowSyncRejectsZeroBatchSize)
+{
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(1024);
+    ShadowSyncConfig cfg;
+    cfg.base.batch_size = 0;
+    EXPECT_DEATH(trainShadowSync(tinyModel(), ds, cfg, 256),
+                 "batch_size");
+}
+
+TEST(AsyncTrainersDeath, EasgdRejectsZeroSyncPeriod)
+{
+    data::SyntheticCtrDataset ds(tinyData());
+    ds.materialize(1024);
+    EasgdConfig cfg;
+    cfg.sync_period = 0;
+    EXPECT_DEATH(trainEasgd(tinyModel(), ds, cfg, 256), "sync_period");
+}
+
 TEST(ShadowSync, CenterModelLearns)
 {
     data::SyntheticCtrDataset ds(tinyData());
