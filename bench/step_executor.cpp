@@ -268,8 +268,9 @@ main(int argc, char** argv)
     }
 
     // Telemetry overhead: the same serial schedule with the whole
-    // observability pipeline live — the flight recorder sampling every
-    // node dispatch, a rolling step-time histogram fed each step, and
+    // observability pipeline live — the flight recorder recording every
+    // span (one per node visit, plus model.fwd, loss and model.bwd), a
+    // rolling step-time histogram fed each step, and
     // the periodic sampler emitting JSONL in the background — vs the
     // disabled path (one relaxed load per site). CI gates the ratio
     // at < 2%.
