@@ -200,6 +200,7 @@ endNs(const Sample& sample)
     return sample.t_ns + sample.dur_ns;
 }
 
+#ifndef RECSIM_OBS_DISABLED
 /** Wall-clock spans on channel @p name, in start order. */
 std::vector<Sample>
 spansNamed(const std::vector<Sample>& samples, const std::string& name)
@@ -215,6 +216,7 @@ spansNamed(const std::vector<Sample>& samples, const std::string& name)
     }
     return result;
 }
+#endif  // RECSIM_OBS_DISABLED
 
 /** Span samples among @p samples. */
 std::size_t
