@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "sim/dist_sim.h"
 #include "train/trainer.h"
+#include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 
@@ -152,7 +153,8 @@ priceVariant(const model::DlrmConfig& m, const cost::SystemConfig& sys,
  * and the iteration times, and the first job's also feed the drift
  * monitor. Under --trace (@p own_recording false) the session's
  * recorder stays on and keeps its samples, so the job reads only the
- * ones that start after it does.
+ * ones that start after it does. A job that lost a sample to ring
+ * wraparound exits with an error.
  */
 void
 measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
@@ -184,8 +186,11 @@ measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
         recorder.configure(kRecorderCapacity);
         recorder.setEnabled(true);
     }
+    const uint64_t recorded_before = recorder.totalRecorded();
     const uint64_t job_start = recorder.nowNs();
     train::trainSingleThread(m, dataset, train_cfg, kEval);
+    const uint64_t recorded_in_job =
+        recorder.totalRecorded() - recorded_before;
     if (hot_tier_bytes > 0.0)
         v.measured_hit_rate = measuredHitRate();
     // The job's wall-clock samples: under --trace the DES runs of
@@ -197,6 +202,11 @@ measureJob(Variant& v, const model::DlrmConfig& m, bool fuse,
         if (sample.t_ns >= job_start && !tracks[sample.track].simulated)
             samples.push_back(sample);
     }
+    // A stripe that wrapped during the job would bias the measured
+    // column and the iteration times without notice.
+    if (samples.size() != recorded_in_job)
+        util::fatal("a measured job kept {} of the {} samples it recorded",
+                    samples.size(), recorded_in_job);
     if (own_recording) {
         recorder.setEnabled(false);
         recorder.reset();

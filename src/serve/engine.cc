@@ -34,9 +34,11 @@ InferenceEngine::InferenceEngine(const model::DlrmConfig& config,
 }
 
 double
-InferenceEngine::scoreBatch(const data::MiniBatch& batch)
+InferenceEngine::scoreBatch(const data::MiniBatch& batch, uint64_t index)
 {
-    RECSIM_TRACE_SPAN("serve.batch");
+    static constinit obs::SpanSite batch_site("serve.batch");
+    const obs::TraceSpan span(batch_site, index,
+                              static_cast<uint32_t>(batch.batchSize()));
     const double t0 = nowSeconds();
     executor_->runForward(*model_, batch);
     return nowSeconds() - t0;
@@ -68,8 +70,6 @@ InferenceEngine::replay(const std::vector<Query>& queries,
                                        /*max_windows=*/4096,
                                        config.latency_relative_error);
     auto& recorder = obs::FlightRecorder::global();
-    const uint32_t batch_channel =
-        recorder.internChannel("serve.batch_s");
     const uint32_t queue_channel =
         recorder.internChannel("serve.queue_depth");
 
@@ -116,11 +116,11 @@ InferenceEngine::replay(const std::vector<Query>& queries,
 
         const std::size_t rows = batch.totalItems();
         const data::MiniBatch mb = features.nextBatch(rows);
-        const double service = scoreBatch(mb);
+        ++report.batches;
+        const double service = scoreBatch(mb, report.batches);
         const double done = release + service;
 
         report.busy_s += service;
-        ++report.batches;
         sum_batch_queries += static_cast<double>(batch.queries.size());
         sum_batch_items += static_cast<double>(rows);
         metrics.incr("serve.batches");
@@ -128,12 +128,9 @@ InferenceEngine::replay(const std::vector<Query>& queries,
         metrics.observe("serve.service_s", service);
         metrics.observe("serve.batch_items",
                         static_cast<double>(rows));
-        if (obs::recorderEnabled()) {
-            recorder.record(batch_channel, report.batches, service,
-                            static_cast<uint32_t>(rows));
+        if (obs::recorderEnabled())
             recorder.record(queue_channel, report.batches,
                             static_cast<double>(sched.pendingQueries()));
-        }
         for (const Query& q : batch.queries) {
             const double lat = done - q.arrival_s;
             latencies.add(done, lat);

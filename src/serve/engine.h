@@ -110,9 +110,11 @@ class InferenceEngine
 
     /**
      * Score one feature batch (forward pass only) and return the
-     * measured wall seconds. Scores land in logits().
+     * measured wall seconds. Scores land in logits(). While the
+     * flight recorder is enabled, the call is one "serve.batch" span
+     * tagged with @p index and the batch's rows.
      */
-    double scoreBatch(const data::MiniBatch& batch);
+    double scoreBatch(const data::MiniBatch& batch, uint64_t index = 0);
 
     /** Logits of the most recent scoreBatch(), [rows, 1]. */
     const tensor::Tensor& logits() const { return model_->logits(); }
@@ -127,8 +129,8 @@ class InferenceEngine
      * log-histogram (rolling percentiles keyed on the *virtual*
      * completion clock) and the obs MetricsRegistry ("serve.*"
      * counters and timings). When the flight recorder is enabled,
-     * each retired batch records its measured service time
-     * ("serve.batch_s") and the queue depth at retire
+     * each retired batch records its "serve.batch" span, tagged with
+     * the batch's 1-based index, and the queue depth at retire
      * ("serve.queue_depth").
      */
     ServeReport replay(const std::vector<Query>& queries,

@@ -449,22 +449,25 @@ TEST(InferenceEngine, ReplayRecordsBatchChannelsInFlightRecorder)
     const ServeReport report = engine.replay(queries, rc);
 
     rec.setEnabled(false);
-    const uint32_t batch_ch = rec.internChannel("serve.batch_s");
+    const uint32_t batch_ch = rec.internChannel("serve.batch");
     const uint32_t queue_ch = rec.internChannel("serve.queue_depth");
-    std::size_t batch_samples = 0, queue_samples = 0;
+    std::size_t batch_spans = 0, queue_samples = 0;
     for (const auto& sample : rec.snapshot()) {
         if (sample.channel == batch_ch) {
-            ++batch_samples;
-            EXPECT_GE(sample.value, 0.0);  // service seconds
-            EXPECT_GT(sample.rows, 0u);    // batch items
+            ++batch_spans;
+            EXPECT_TRUE(sample.span);
+            EXPECT_EQ(sample.step, batch_spans);  // 1-based batch index
+            EXPECT_GT(sample.rows, 0u);           // batch items
         } else if (sample.channel == queue_ch) {
             ++queue_samples;
+            EXPECT_FALSE(sample.span);
         }
     }
-    // One sample per retired batch on each channel (capacity is far
-    // above the batch count, so nothing wrapped).
-    EXPECT_EQ(batch_samples, report.batches);
+    // One span and one queue-depth sample per retired batch (capacity
+    // is far above the batch count, so nothing wrapped).
+    EXPECT_EQ(batch_spans, report.batches);
     EXPECT_EQ(queue_samples, report.batches);
+    EXPECT_EQ(rec.dropped(), 0u);
     rec.reset();
 }
 #endif  // RECSIM_OBS_DISABLED
